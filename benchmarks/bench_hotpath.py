@@ -1,11 +1,14 @@
-"""Scheduler hot-path throughput: events/second at trace scale.
+"""Scheduler hot-path throughput at trace scale.
 
 Measures the event-loop cost of :class:`~repro.sched.simulator.DeviceSim`
 (and the cluster loop above it) on synthetic open-arrival traces of 8,
 500, and 5 000 tasks -- the regime where per-event work that scales with
 the number of tasks *ever seen* turns quadratic.  Tasks are synthetic
 (``repro.workloads.trace``): no model building, compilation, or NPU
-profiling, so the measurement isolates the scheduler.
+profiling, so the measurement isolates the scheduler.  Every scenario
+reports tasks/second (the gated unit) beside events/second and
+us/event where those apply; events alone are not comparable across
+versions that process different event counts for the same schedule.
 
 Usage::
 
@@ -19,7 +22,9 @@ reported *normalized* against a small pure-Python calibration loop
 (heap + dict churn) timed in the same process, which makes numbers
 roughly comparable across machines; ``--check`` compares normalized
 throughput against a committed baseline and fails the run when any tier
-regresses by more than 30% (override with ``--tolerance``).
+regresses by more than 30% (override with ``--tolerance``).  The
+normalized unit is tasks/second per calibration op/second for every
+scenario.
 ``--update-baseline`` rewrites the baseline from the current run.
 """
 
@@ -120,11 +125,13 @@ def measure_single_device(
     bursty: bool = False,
     min_events: int = 4000,
 ) -> Dict[str, float]:
-    """Events/second of one DeviceSim draining an open-arrival trace.
+    """Tasks/second (and events/second) of one DeviceSim draining an
+    open-arrival trace.
 
     Small tiers are repeated until at least ``min_events`` events have
     been processed so the timer resolution stops mattering.
     """
+    total_tasks = 0
     total_events = 0
     total_seconds = 0.0
     repeats = 0
@@ -141,6 +148,7 @@ def measure_single_device(
             sim.step()
             events += 1
         total_seconds += time.perf_counter() - start
+        total_tasks += num_tasks
         total_events += events
         repeats += 1
     return {
@@ -148,6 +156,7 @@ def measure_single_device(
         "events": total_events,
         "seconds": round(total_seconds, 6),
         "repeats": repeats,
+        "tasks_per_sec": total_tasks / total_seconds,
         "events_per_sec": total_events / total_seconds,
         "us_per_event": 1e6 * total_seconds / total_events,
     }
@@ -259,7 +268,7 @@ def run(tier: str = "full") -> Dict[str, object]:
     results: Dict[str, object] = {}
     for num_tasks in tiers:
         record = measure_single_device(num_tasks)
-        record["normalized"] = record["events_per_sec"] / calibration_ops
+        record["normalized"] = record["tasks_per_sec"] / calibration_ops
         results[f"single_poisson_{num_tasks}"] = record
     # Checkpoint migration exercises the interconnect + ledger path on
     # every event; it runs in the small tier so the CI regression gate
@@ -381,7 +390,7 @@ def run(tier: str = "full") -> Dict[str, object]:
     results["parallel_rack_4x64"] = record
     if tier == "full":
         record = measure_single_device(FULL_TIERS[-1], bursty=True)
-        record["normalized"] = record["events_per_sec"] / calibration_ops
+        record["normalized"] = record["tasks_per_sec"] / calibration_ops
         results[f"single_bursty_{FULL_TIERS[-1]}"] = record
         results["cluster_ws_4dev_2000"] = measure_cluster(2000)
         # 256 devices, indexed vs the preserved pre-index linear-scan
@@ -407,23 +416,17 @@ def format_report(payload: Dict[str, object]) -> str:
     lines = [
         "scheduler hot-path throughput "
         f"(calibration {payload['meta']['calibration_ops_per_sec']:,.0f} ops/s)",
-        f"{'scenario':<24} {'tasks':>6} {'events':>8} {'ev/s':>12} "
-        f"{'us/ev':>8} {'normalized':>11}",
+        f"{'scenario':<34} {'devices':>7} {'tasks':>6} {'events':>8} "
+        f"{'tasks/s':>9} {'us/ev':>8} {'normalized':>11}",
     ]
     for name, record in payload["tiers"].items():
-        if "events_per_sec" in record:
-            lines.append(
-                f"{name:<24} {record['tasks']:>6} {record['events']:>8} "
-                f"{record['events_per_sec']:>12,.0f} "
-                f"{record['us_per_event']:>8.1f} "
-                f"{record['normalized']:>11.4f}"
-            )
-        else:
-            lines.append(
-                f"{name:<24} {record['tasks']:>6} {'-':>8} "
-                f"{record['tasks_per_sec']:>12,.0f} tasks/s over "
-                f"{record['devices']} devices"
-            )
+        normalized = record.get("normalized")
+        lines.append(
+            f"{name:<34} {record.get('devices', 1):>7} {record['tasks']:>6} "
+            f"{record['events']:>8} {record['tasks_per_sec']:>9,.0f} "
+            f"{record['us_per_event']:>8.1f} "
+            + (f"{normalized:>11.5f}" if normalized is not None else f"{'-':>11}")
+        )
     return "\n".join(lines)
 
 
@@ -474,7 +477,7 @@ def update_baseline(payload: Dict[str, object]) -> None:
         json.dumps(
             {
                 "note": (
-                    "Machine-normalized events/sec (events per calibration "
+                    "Machine-normalized tasks/sec (tasks per calibration "
                     "op); regenerate with bench_hotpath.py "
                     "--update-baseline, which only ever ratchets existing "
                     "floors upward (never down without deleting the entry "
@@ -520,8 +523,7 @@ def test_hotpath_smoke(emit):
     payload = run(tier="small")
     emit("hotpath_small", format_report(payload))
     for record in payload["tiers"].values():
-        throughput = record.get("events_per_sec", record.get("tasks_per_sec"))
-        assert throughput > 0
+        assert record["tasks_per_sec"] > 0
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -2,12 +2,13 @@
 
 A :class:`MetricsSampler` owns a registry of named counters, gauges,
 and histograms.  Emission sites in the cluster bump counters as events
-happen (admission decisions, completions, SLA outcomes); on every
-sampling tick -- the cluster loop calls :meth:`MetricsSampler.sample`
-whenever simulated time crosses ``interval_cycles`` -- the current
-value of every instrument is appended to that instrument's
-:class:`RingBuffer`, so a run of any length holds at most
-``capacity`` points per series.
+happen (admission decisions, completions, SLA outcomes).  Samples sit
+on their own time grid, the exact points ``k * interval_cycles``: the
+cluster loop takes every point that falls due before the next item it
+processes, so each point reads the state as of that instant however
+many or few events surround it.  Each sample appends the current value
+of every instrument to that instrument's :class:`RingBuffer`, so a run
+of any length holds at most ``capacity`` points per series.
 
 Gauges sampled by the cluster (see ``docs/observability.md``):
 per-device queue depth, corrected backlog, and busy flag (utilization
@@ -158,7 +159,9 @@ class MetricsSampler:
         self.capacity = capacity
         self.slos = slos
         self.tracer = tracer
+        #: The next grid point, ``samples_taken * interval_cycles``.
         self.next_due = 0.0
+        self._samples_taken = 0
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
@@ -206,7 +209,8 @@ class MetricsSampler:
         return now >= self.next_due
 
     def sample(self, now: float) -> None:
-        """Snapshot every instrument into its bounded series."""
+        """Snapshot every instrument into its bounded series at ``now``
+        (the due grid point) and advance to the next grid point."""
         tracer = self.tracer
         emit = tracer is not None and tracer.enabled
         for name, counter in self.counters.items():
@@ -221,7 +225,10 @@ class MetricsSampler:
             self._record(name + ".mean", now, histogram.mean)
             if emit:
                 tracer.counter(name + ".mean", now, histogram.mean)
-        self.next_due = now + self.interval_cycles
+        # A multiple, not an accumulation: every point is exact however
+        # long the run, and the grid never depends on when sample() ran.
+        self._samples_taken += 1
+        self.next_due = self._samples_taken * self.interval_cycles
 
     def _record(self, name: str, now: float, value: float) -> None:
         series = self._series.get(name)

@@ -72,7 +72,7 @@ import math
 import random
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.context import TaskState
 from repro.core.tokens import ClusterTokenLedger
@@ -267,6 +267,15 @@ class ClusterConfig:
     workers: Optional[int] = None
 
 
+def _fleet_events_by_kind(devices: Sequence[DeviceSim]) -> Dict[str, int]:
+    """Per-kind device event counts summed over the fleet."""
+    totals = {kind.name: 0 for kind in _EventKind}
+    for device in devices:
+        for name, count in device.events_by_kind.items():
+            totals[name] += count
+    return totals
+
+
 @dataclasses.dataclass(frozen=True)
 class MigrationRecord:
     """One migration of a task between devices.
@@ -345,6 +354,11 @@ class ClusterResult:
     #: Total device events processed across the fleet (introspection /
     #: benchmarking: per-event control-plane cost = wall time / this).
     events_processed: int = 0
+    #: The same count split by device event kind (COMPLETE, ARRIVAL,
+    #: PERIOD, DISPATCH); see ``SimulationResult.events_by_kind``.
+    events_by_kind: Mapping[str, int] = dataclasses.field(
+        default_factory=dict
+    )
     #: The jobs this run executed, when driven through the job surface
     #: (run_jobs / batching).  Empty for plain task runs.
     jobs: Tuple[Job, ...] = ()
@@ -945,7 +959,7 @@ class _ChurnRuntime:
             if transition.event is not None:
                 self._active_event[index] = transition.event
             if self.proactive:
-                device.accepts_work = False
+                device.stop_accepting(now)
                 self._refresh(device)
                 self._evacuate(index, now)
         elif transition.phase == "down":
@@ -1655,6 +1669,8 @@ class ClusterScheduler:
         tracer = self.tracer
         sampler = self.sampler
         profiler = self.profiler
+        poll_migration = self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
+        polling = False
         #: Running completion counter -- the O(1) termination check.  The
         #: reference loop keeps the historical O(d) sum below.
         completed_total = 0
@@ -1689,7 +1705,16 @@ class ClusterScheduler:
                     if (
                         device_key is None or device_key > (churn_time, 0)
                     ) and (next_arr is None or churn_time <= next_arr):
+                        if sampler is not None:
+                            self._sample_before(
+                                sampler, churn_time, devices, fabric,
+                                migrations,
+                            )
                         churn_rt.process_next()
+                        if poll_migration:
+                            polling = self._poll_migration(
+                                devices, indexes, polling, churn_time
+                            )
                         continue
 
             # Route the next arrival only once every device event that
@@ -1710,6 +1735,14 @@ class ClusterScheduler:
                     or device_key > (frontier[0][0], arrival_rank)
                 )
             if arrival_due:
+                if sampler is not None:
+                    self._sample_before(
+                        sampler,
+                        pending[0].spec.arrival_cycles
+                        if admission is None
+                        else frontier[0][0],
+                        devices, fabric, migrations,
+                    )
                 if admission is None:
                     task = pending.popleft()
                     if churn_rt is not None and not churn_rt.any_accepting():
@@ -1817,6 +1850,10 @@ class ClusterScheduler:
                             admission.on_lost(task)
                     churn_rt.parked = []
                 break
+            if sampler is not None:
+                self._sample_before(
+                    sampler, device_key[0], devices, fabric, migrations
+                )
             stepped = devices[device_index]
             now = stepped.step()
             if indexes is not None:
@@ -1868,8 +1905,11 @@ class ClusterScheduler:
                 # the link; revisit its evacuation plan.
                 churn_rt.after_step(stepped, now)
 
-            if sampler is not None and now >= sampler.next_due:
-                self._sample_obs(sampler, now, devices, fabric, migrations)
+            if poll_migration:
+                polling = self._poll_migration(
+                    devices, indexes, polling, now,
+                    (now, device_key[1], device_index),
+                )
 
             if indexes is not None:
                 if completed_total >= total:
@@ -1920,6 +1960,7 @@ class ClusterScheduler:
             events_processed=sum(
                 device.events_processed for device in devices
             ),
+            events_by_kind=_fleet_events_by_kind(devices),
             lost_tasks=tuple(lost),
             rack_of=self.rack_of,
         )
@@ -2035,6 +2076,8 @@ class ClusterScheduler:
         tracer = self.tracer
         sampler = self.sampler
         profiler = self.profiler
+        poll_migration = self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
+        polling = False
         churn_rt: Optional[_ChurnRuntime] = None
         if self.churn is not None:
             churn_rt = _ChurnRuntime(
@@ -2357,7 +2400,15 @@ class ClusterScheduler:
                 ) and (
                     next_arrival is None or churn_time <= next_arrival
                 ) and (flush_at is None or churn_time <= flush_at):
+                    if sampler is not None:
+                        self._sample_before(
+                            sampler, churn_time, devices, fabric, migrations
+                        )
                     churn_rt.process_next()
+                    if poll_migration:
+                        polling = self._poll_migration(
+                            devices, indexes, polling, churn_time
+                        )
                     continue
 
             flush_due = flush_at is not None and (
@@ -2373,6 +2424,10 @@ class ClusterScheduler:
                 flush_due = False  # an earlier router arrival goes first
             if flush_due:
                 assert flush_at is not None and flush_key is not None
+                if sampler is not None:
+                    self._sample_before(
+                        sampler, flush_at, devices, fabric, migrations
+                    )
                 heapq.heappop(flush_heap)
                 members = open_batches.pop(flush_key)
                 del open_deadline[flush_key]
@@ -2384,6 +2439,11 @@ class ClusterScheduler:
                 or device_key > (next_arrival, arrival_rank)
             )
             if arrival_due:
+                assert next_arrival is not None
+                if sampler is not None:
+                    self._sample_before(
+                        sampler, next_arrival, devices, fabric, migrations
+                    )
                 if admission is None:
                     job = pending.popleft()
                     enqueue_job(job, job.arrival_cycles)
@@ -2465,6 +2525,10 @@ class ClusterScheduler:
                             for member in job.requests:
                                 admission.on_lost(member)
                 break  # no events, no arrivals, no open windows
+            if sampler is not None:
+                self._sample_before(
+                    sampler, device_key[0], devices, fabric, migrations
+                )
             stepped = devices[device_index]
             now = stepped.step()
             if indexes is not None:
@@ -2506,8 +2570,11 @@ class ClusterScheduler:
             if churn_rt is not None:
                 churn_rt.after_step(stepped, now)
 
-            if sampler is not None and now >= sampler.next_due:
-                self._sample_obs(sampler, now, devices, fabric, migrations)
+            if poll_migration:
+                polling = self._poll_migration(
+                    devices, indexes, polling, now,
+                    (now, device_key[1], device_index),
+                )
 
             if settled >= total_jobs:
                 break
@@ -2565,6 +2632,7 @@ class ClusterScheduler:
             events_processed=sum(
                 device.events_processed for device in devices
             ),
+            events_by_kind=_fleet_events_by_kind(devices),
             jobs=tuple(jobs),
             batches=tuple(batch_records),
             lost_tasks=lost_members,
@@ -2768,6 +2836,64 @@ class ClusterScheduler:
             },
         )
 
+    @staticmethod
+    def _poll_migration(
+        devices: Sequence[DeviceSim],
+        indexes: Optional[_ClusterIndexes],
+        polling: bool,
+        now: float,
+        event: Optional[Tuple[float, int, int]] = None,
+    ) -> bool:
+        """Keep every device's period ticks live while a migration pass
+        could move work; returns the new polling state.
+
+        :meth:`_migrate` runs after every device event, and whether a
+        move beats waiting at home depends on *when* it is checked, so
+        the ticks of every device are its polling clock whenever some
+        device idles and some device holds queued or preempted work (the
+        pass's own early-out).  Outside those windows a skipped tick
+        could not have moved anything.  ``event`` is the (time,
+        kind-rank, device) of the device event just handled; items
+        without one (churn transitions) sort before a same-time PERIOD.
+        """
+        if indexes is not None:
+            possible = bool(indexes.idle_candidates) and bool(
+                indexes.source_candidates
+            )
+        else:
+            possible = False
+            for device in devices:
+                if device.maybe_idle:
+                    for source in devices:
+                        if source.has_queued or source.has_preempted:
+                            possible = True
+                            break
+                    break
+        if possible != polling:
+            period_rank = int(_EventKind.PERIOD)
+            for index, device in enumerate(devices):
+                device.poll_ticks(
+                    possible,
+                    now,
+                    event is not None and (now, period_rank, index) < event,
+                )
+        return possible
+
+    def _sample_before(
+        self,
+        sampler,
+        until: float,
+        devices: Sequence[DeviceSim],
+        fabric: Optional[Interconnect],
+        migrations: List[MigrationRecord],
+    ) -> None:
+        """Take every sampling-grid point due strictly before ``until``,
+        the time of the next item the loop processes."""
+        while sampler.next_due < until:
+            self._sample_obs(
+                sampler, sampler.next_due, devices, fabric, migrations
+            )
+
     def _sample_obs(
         self,
         sampler,
@@ -2782,8 +2908,9 @@ class ClusterScheduler:
         ``predicted_backlog`` reads task progress without mutating it,
         ``queue_depth``/``is_busy`` are O(1) -- so sampling never
         perturbs a scheduling decision; only the sampler's own state
-        changes.  Runs only when a sampler is configured and its
-        interval elapsed, so the un-observed loop never enters here.
+        changes.  Runs only at the sampler's grid points (see
+        :meth:`_sample_before`), so the un-observed loop never enters
+        here.
         """
         rack_of = self.rack_of
         rack_busy: Optional[List[int]] = None

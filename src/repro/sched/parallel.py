@@ -243,12 +243,13 @@ class _Worker:
         #: Event-cut accounting (see the module docstring).  Every event
         #: at or before this shard's latest completion is provably at or
         #: before the global cut (the cut is the *max* completion key),
-        #: so a running count suffices for those; only the keys seen
-        #: since the latest completion -- the ``tail`` -- are kept for
-        #: the finalize-time binary search.  Keys are (round, time,
-        #: kind-rank, device), appended in ascending order.
-        self.events_total = 0
-        self.events_at_last_completion = 0
+        #: so running counts (per event kind-rank) suffice for those;
+        #: only the keys seen since the latest completion -- the
+        #: ``tail`` -- are kept for the finalize-time binary search.
+        #: Keys are (round, time, kind-rank, device), appended in
+        #: ascending order.
+        self.events_by_rank = [0] * len(_EventKind)
+        self.events_at_last_completion = list(self.events_by_rank)
         self.last_completion: Optional[Tuple[int, float, int, int]] = None
         self.completions = 0
         self.tail_keys: List[Tuple[int, float, int, int]] = []
@@ -298,7 +299,7 @@ class _Worker:
                 start_ns = time.perf_counter_ns()
                 indexes.refresh(stepped)
                 profiler.add("index", time.perf_counter_ns() - start_ns)
-            self.events_total += 1
+            self.events_by_rank[device_key[1]] += 1
             if steal and stepped.last_event_kind in (
                 _EventKind.COMPLETE,
                 _EventKind.ARRIVAL,
@@ -318,7 +319,7 @@ class _Worker:
                 self.last_completion = (
                     round_no, device_key[0], device_key[1], device_index
                 )
-                self.events_at_last_completion = self.events_total
+                self.events_at_last_completion = list(self.events_by_rank)
                 self.tail_keys.clear()
             else:
                 self.tail_keys.append(
@@ -378,11 +379,11 @@ class _Worker:
         # before the cut; count the post-completion tail by binary
         # search (sorted ascending; the inf sentinel admits the cut
         # entry itself).
-        events_before_cut = self.events_at_last_completion
+        events_before_cut = list(self.events_at_last_completion)
         if cut is not None:
-            events_before_cut += bisect.bisect_left(
-                self.tail_keys, cut + (math.inf,)
-            )
+            tail = bisect.bisect_left(self.tail_keys, cut + (math.inf,))
+            for key in self.tail_keys[:tail]:
+                events_before_cut[key[2]] += 1
         return {
             "devices": [
                 (
@@ -695,12 +696,16 @@ def _merge(
     # The serial loop processed events in global (round, time, rank,
     # device) order and stopped at the final completion -- the ``cut``
     # key.  Each worker already counted its own events at or before the
-    # cut (``events_before_cut``, a binary search over its sorted local
-    # log), so the serial event count is just the sum; the migration
+    # cut per kind (``events_before_cut``, a binary search over its
+    # sorted local log), so the serial counts are just the sums; the migration
     # batches come back tagged with their event keys, so sorting the
     # tags reproduces the serial migration order without shipping or
     # walking the event logs themselves.
-    events_processed = sum(p["events_before_cut"] for p in payloads)
+    by_rank = [
+        sum(counts)
+        for counts in zip(*(p["events_before_cut"] for p in payloads))
+    ]
+    events_processed = sum(by_rank)
     tagged: List[Tuple[tuple, int, int, int]] = []
     for slot, summary in enumerate(summaries):
         start = 0
@@ -767,6 +772,7 @@ def _merge(
         admission_records=(),
         rejected_tasks=(),
         events_processed=events_processed,
+        events_by_kind={kind.name: by_rank[kind] for kind in _EventKind},
         lost_tasks=(),
         rack_of=sched.rack_of,
     )

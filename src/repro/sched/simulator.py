@@ -29,7 +29,11 @@ per device, :mod:`repro.workloads.trace`) tractable:
   the ready queue at every wake;
 - ready-queue selection goes through the policies' incremental priority
   structures (:mod:`repro.sched.policies`) and the context table's
-  incremental ready index.
+  incremental ready index;
+- the scheduling-period grid is virtual: a PERIOD event is queued only
+  while a tick can change something (see :class:`DeviceSim`), so a
+  device whose ready queue is empty does not pay for the ticks that
+  would only re-arm themselves.
 
 Preemption modes:
 
@@ -49,7 +53,7 @@ import dataclasses
 import enum
 import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import ContextTable, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
@@ -98,6 +102,11 @@ class _EventKind(enum.IntEnum):
     DISPATCH = 3
 
 
+# Per-event aliases: looking a member up on the Enum class costs a
+# descriptor call, measurable on the one-call-per-event path.
+_COMPLETE, _ARRIVAL, _PERIOD, _DISPATCH = _EventKind
+
+
 class DeviceTaskState(enum.Enum):
     """Explicit per-device lifecycle of an injected task.
 
@@ -139,6 +148,12 @@ class SimulationResult:
     makespan_cycles: float
     preemption_count: int
     drain_decisions: int
+    #: Events the device processed, keyed by event-kind name (COMPLETE,
+    #: ARRIVAL, PERIOD, DISPATCH).  Cost introspection only: skipped
+    #: no-op period ticks never show up here.
+    events_by_kind: Mapping[str, int] = dataclasses.field(
+        default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -160,8 +175,35 @@ class DeviceSim:
     Holds the per-run mutable state the old monolithic ``run()`` kept in
     locals -- event heap, context table, runtimes, reservation bookkeeping
     -- and exposes it one event at a time.  Tasks may be injected before
-    or during the run; the scheduling-period clock arms itself lazily at
-    the first processed arrival, so an initially idle device costs nothing.
+    or during the run.
+
+    **Lazy period clock.**  The scheduling-period grid is anchored one
+    period after the first admitted arrival and advances by repeated
+    ``+= period_cycles``; once every resident task has completed, the
+    next tick disarms it and the next arrival re-anchors it.  The grid
+    itself is virtual: a tick with an empty ready queue grants no tokens,
+    finds no candidate and only re-arms itself, so after every step (and
+    on :meth:`stop_accepting`, :meth:`force_checkpoint` and
+    :meth:`poll_ticks`) the device queues a PERIOD event only when a
+    tick can matter:
+
+    - a row is READY (the tick settles waits, grants tokens, re-ranks);
+    - the device has drained (the tick that disarms and re-anchors the
+      grid must fire at its exact time);
+    - the device stopped accepting work (churn WARNED/DRAINING): the
+      evacuation planner re-plans after each of the device's events, so
+      its ticks are a polling clock;
+    - the cluster asked for every tick (:meth:`poll_ticks`): preemptive
+      migration re-checks the whole fleet after any device's event, and
+      whether a move pays off depends on the time of the check.
+
+    Skipped grid points are caught up by the same repeated addition, so
+    every queued tick lands on the float the eager clock would have
+    produced and schedules are bit-identical to ticking every period.
+    A point before the current event is past; a point *at* it is past
+    only when the current event sorts after PERIOD (a DISPATCH).  The
+    PERIOD count in :attr:`events_by_kind` therefore shrinks while
+    us/event grows: the skipped ticks were the cheapest events.
     """
 
     def __init__(
@@ -193,7 +235,13 @@ class DeviceSim:
         self._npu_reserved_until = 0.0
         #: Task with an in-flight DISPATCH reservation (post-preemption).
         self._reserved_task_id: Optional[int] = None
+        #: Lazy period clock (see the class docstring): the grid is live,
+        #: its next unfired point, and whether that point sits in the
+        #: event heap as a PERIOD event.
         self._period_armed = False
+        self._next_period = 0.0
+        self._period_queued = False
+        self._period_polled = False
         self._preemption_count = 0
         self._drain_decisions = 0
         self._completed = 0
@@ -205,8 +253,8 @@ class DeviceSim:
         #: prediction feedback observe finished tasks through this
         #: without any per-event callback cost.
         self.last_completed: Optional[TaskRuntime] = None
-        #: Total events processed (introspection / benchmarking).
-        self.events_processed = 0
+        #: Events processed per kind, indexed by ``_EventKind`` value.
+        self._kind_counts = [0] * len(_EventKind)
         #: Min-heap of unprocessed ARRIVAL timestamps.  Arrivals fire in
         #: time order, so the heap minimum is always the next one to
         #: fire; `is_idle` peeks it instead of scanning the event queue.
@@ -243,6 +291,18 @@ class DeviceSim:
         #: a non-accepting device as invisible; churn-free runs never
         #: clear it, so every historical code path is unchanged.
         self.accepts_work = True
+
+    @property
+    def events_processed(self) -> int:
+        """Total events processed (introspection / benchmarking)."""
+        return sum(self._kind_counts)
+
+    @property
+    def events_by_kind(self) -> Dict[str, int]:
+        """Events processed per kind name (see :class:`SimulationResult`)."""
+        return {
+            kind.name: self._kind_counts[kind] for kind in _EventKind
+        }
 
     def _notify_event_change(self) -> None:
         """Fire :attr:`on_next_event_change` if the head key moved.
@@ -298,21 +358,78 @@ class DeviceSim:
         """Process exactly one pending event; returns its timestamp."""
         if not self._events:
             raise RuntimeError("no pending events")
-        now, _, _, kind, payload = heapq.heappop(self._events)
+        now, rank, _, kind, payload = heapq.heappop(self._events)
         self._now = now
         self.last_event_kind = kind
         self.last_completed = None
-        self.events_processed += 1
-        if kind == _EventKind.ARRIVAL:
+        self._kind_counts[rank] += 1
+        if kind is _ARRIVAL:
             self._on_arrival(now, payload)  # type: ignore[arg-type]
-        elif kind == _EventKind.COMPLETE:
+        elif kind is _COMPLETE:
             self._on_complete(now, payload)  # type: ignore[arg-type]
-        elif kind == _EventKind.PERIOD:
+        elif kind is _PERIOD:
             self._on_period(now)
-        elif kind == _EventKind.DISPATCH:
+        elif kind is _DISPATCH:
             self._on_dispatch(now, payload)  # type: ignore[arg-type]
+        if self._period_armed and not self._period_queued:
+            self._queue_period(now, kind is _DISPATCH)
         self._notify_event_change()
         return now
+
+    def _queue_period(self, now: float, passed_now: bool) -> None:
+        """Queue the next grid tick if one can matter (lazy period clock).
+
+        Walks the grid past the points that fell due while no tick could
+        matter -- each would have fired as a no-op -- using the same
+        repeated addition as the eager clock, so the queued time is
+        bit-identical to the tick that clock would fire next.
+        ``passed_now`` says whether a point exactly at ``now`` already
+        fired, i.e. whether the event being handled sorts after PERIOD.
+        """
+        if not self._period_armed or self._period_queued:
+            return
+        if not (
+            self._table.has_ready
+            or self._period_polled
+            or not self.accepts_work
+            or self._completed == len(self._runtimes)
+        ):
+            return
+        period = self.config.scheduler.period_cycles
+        due = self._next_period
+        while due < now or (passed_now and due == now):
+            due += period
+        self._next_period = due
+        self._period_queued = True
+        self._push(due, _PERIOD, None)
+
+    def stop_accepting(self, now: float) -> None:
+        """Refuse new work from cycle ``now`` on (churn warning window).
+
+        Routing, stealing and idle indexes treat a non-accepting device
+        as invisible.  While the window is open every period tick fires
+        -- the evacuation planner re-plans after each of the device's
+        events -- so the device queues its next tick here.
+        """
+        self.accepts_work = False
+        # Churn transitions sort before a same-time PERIOD.
+        self._queue_period(now, False)
+        self._notify_event_change()
+
+    def poll_ticks(self, on: bool, now: float, passed_now: bool) -> None:
+        """Make every period tick matter while ``on`` (cluster hook).
+
+        A tick the device itself would skip is still a point where the
+        cluster loop runs its post-event checks; preemptive migration
+        uses those as a polling clock while some device idles and some
+        holds migratable work.  ``passed_now`` says whether this
+        device's tick at exactly ``now`` precedes the cluster's current
+        item in the global event order.
+        """
+        self._period_polled = on
+        if on:
+            self._queue_period(now, passed_now)
+            self._notify_event_change()
 
     # ------------------------------------------------------------------
     # Introspection (cluster-level routing and stealing read these)
@@ -612,7 +729,7 @@ class DeviceSim:
         if running is not None and running.dispatch_time is not None:
             # Pin the timeline through the failure instant before the
             # runtime forgets its dispatch.
-            self._record_run_segments(running, now)
+            self._record_run_segments(running, now, interrupted=True)
         orphans: List[TaskRuntime] = []
         for task_id in list(self._runtimes):
             task = self._runtimes[task_id]
@@ -635,6 +752,7 @@ class DeviceSim:
         self._reserved_task_id = None
         self._npu_reserved_until = now
         self._period_armed = False
+        self._period_queued = False
         self.accepts_work = False
         self._notify_event_change()
         if self.tracer.enabled:
@@ -722,6 +840,10 @@ class DeviceSim:
         self._preemption_count += 1
         self._running_id = None
         self._push(free_at, _EventKind.DISPATCH, None)
+        # The victim is a new READY row: its ticks matter again.
+        self._queue_period(
+            now, now == self._now and self.last_event_kind is _DISPATCH
+        )
         self._notify_event_change()
         return free_at, outcome.checkpoint_bytes
 
@@ -740,6 +862,7 @@ class DeviceSim:
             makespan_cycles=makespan,
             preemption_count=self._preemption_count,
             drain_decisions=self._drain_decisions,
+            events_by_kind=self.events_by_kind,
         )
 
     # ------------------------------------------------------------------
@@ -765,14 +888,11 @@ class DeviceSim:
             self._preempted[task_id] = task
         self.policy.on_admit(task.context, now)
         if not self._period_armed:
-            # Lazy period clock: first tick one period after the first
-            # admitted arrival (matches the monolithic run()'s anchor).
+            # Anchor the grid one period after the first admitted arrival
+            # (matches the monolithic run()'s anchor); step() queues the
+            # tick itself once one can matter.
             self._period_armed = True
-            self._push(
-                now + self.config.scheduler.period_cycles,
-                _EventKind.PERIOD,
-                None,
-            )
+            self._next_period = now + self.config.scheduler.period_cycles
         self._wake(now)
 
     def _on_complete(self, now: float, payload: object) -> None:
@@ -804,14 +924,11 @@ class DeviceSim:
         self._wake(now)
 
     def _on_period(self, now: float) -> None:
-        self._period_armed = False
+        self._period_queued = False
         if self._completed < len(self._runtimes):
-            self._period_armed = True
-            self._push(
-                now + self.config.scheduler.period_cycles,
-                _EventKind.PERIOD,
-                None,
-            )
+            self._next_period = now + self.config.scheduler.period_cycles
+        else:
+            self._period_armed = False
         # Lazy settlement: period ticks are the one wake that *reads*
         # waiting time (token grants), so they settle the ready queue.
         self._accrue_ready(now)
@@ -864,14 +981,25 @@ class DeviceSim:
             )
         return task.task_id
 
-    def _record_run_segments(self, task: TaskRuntime, end: float) -> None:
-        """Record the restore + run spans of the dispatch ending at ``end``."""
+    def _record_run_segments(
+        self, task: TaskRuntime, end: float, interrupted: bool = False
+    ) -> None:
+        """Record the restore + run spans of the dispatch ending at ``end``.
+
+        ``interrupted`` (a device failure) may end the dispatch inside its
+        checkpoint restore: the RESTORE span is then clipped at ``end``
+        and no RUN span is recorded.
+        """
         start = task.dispatch_time
         if start is None:
             return
         restore_end = start + task.dispatch_restore
+        ran = not (interrupted and end <= restore_end)
+        if not ran:
+            restore_end = end
         self.timeline.record(task.task_id, SegmentKind.RESTORE, start, restore_end)
-        self.timeline.record(task.task_id, SegmentKind.RUN, restore_end, end)
+        if ran:
+            self.timeline.record(task.task_id, SegmentKind.RUN, restore_end, end)
         if self.tracer.enabled:
             # Zero-length restores become instants inside span(), mirroring
             # the Timeline's instants side list.
@@ -883,14 +1011,15 @@ class DeviceSim:
                 device=self.device_id,
                 args={"task": task.task_id},
             )
-            self.tracer.span(
-                "run",
-                f"run t{task.task_id}",
-                restore_end,
-                end,
-                device=self.device_id,
-                args={"task": task.task_id},
-            )
+            if ran:
+                self.tracer.span(
+                    "run",
+                    f"run t{task.task_id}",
+                    restore_end,
+                    end,
+                    device=self.device_id,
+                    args={"task": task.task_id},
+                )
 
     def _wake(self, now: float) -> None:
         """Run the scheduler at a wake condition."""

@@ -2,12 +2,14 @@
 
 Usage::
 
-    PYTHONPATH=src python tests/capture_cluster_goldens.py
+    PYTHONPATH=src python tests/capture_cluster_goldens.py [--combo]
 
 The committed golden pins every routing policy -- checkpoint migration
 included -- on 2/4/8-device clusters with rotating device schedulers.
-Regenerating it is only justified alongside an intentional, documented
-behavioral change.
+``--combo`` instead writes the feature-combination golden (migration,
+proactive churn, admission and sharded batching on one 4-device fleet).
+Regenerating either is only justified alongside an intentional,
+documented behavioral change.
 """
 
 import pathlib
@@ -21,8 +23,14 @@ import helpers_golden  # noqa: E402
 
 def main() -> None:
     start = time.perf_counter()
-    payload = helpers_golden.capture_cluster()
-    path = helpers_golden.write_cluster_goldens(payload)
+    if "--combo" in sys.argv[1:]:
+        payload = helpers_golden.capture_combo()
+        path = helpers_golden.write_cluster_goldens(
+            payload, helpers_golden.COMBO_GOLDEN_PATH
+        )
+    else:
+        payload = helpers_golden.capture_cluster()
+        path = helpers_golden.write_cluster_goldens(payload)
     elapsed = time.perf_counter() - start
     print(
         f"wrote {len(payload['runs'])} cluster golden runs to {path} "

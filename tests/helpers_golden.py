@@ -36,8 +36,10 @@ import pathlib
 from typing import Dict, Iterator, Tuple
 
 from repro.npu.config import NPUConfig
-from repro.sched.cluster import ClusterScheduler, RoutingPolicy
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
+from repro.sched.faults import ChurnSchedule
 from repro.sched.interconnect import InterconnectConfig
+from repro.sched.job import BatchConfig
 from repro.sched.policies import POLICY_NAMES
 from repro.sched.prepare import TaskFactory
 from repro.sched.simulator import (
@@ -46,13 +48,18 @@ from repro.sched.simulator import (
     SimulationConfig,
 )
 from repro.sched.policies import make_policy
+from repro.serving import AdmissionController, PredictionFeedback
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.trace import synthetic_trace_runtimes
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "golden_hotpath.json.gz"
 )
 CLUSTER_GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "golden_cluster.json.gz"
+)
+COMBO_GOLDEN_PATH = (
+    pathlib.Path(__file__).parent / "data" / "golden_cluster_combo.json.gz"
 )
 
 SINGLE_SEED = 77
@@ -312,6 +319,96 @@ def cluster_suite_runs(
                 )
 
 
+# ----------------------------------------------------------------------
+# Feature-combination golden: preemptive migration + proactive churn
+# (revocations and drains) + admission + batching with 2-stage sharding
+# ----------------------------------------------------------------------
+COMBO_DEVICES = 4
+COMBO_NUM_TASKS = 160
+COMBO_LOAD = 1.5
+#: (trace seed, device policy, mode, mechanism) per golden case.
+COMBO_CASES: Tuple[Tuple[int, str, str, str], ...] = (
+    (0, "PREMA", "dynamic", "CHECKPOINT"),
+    (1, "PREMA", "static", "CHECKPOINT"),
+    (2, "HPF", "dynamic", "KILL"),
+    (3, "TOKEN", "static", "KILL"),
+)
+
+
+def combo_runs() -> Iterator[Tuple[str, object]]:
+    """Every cluster feature that interacts with the device clock at once.
+
+    Synthetic bursty QoS traces at 1.5x the fleet's capacity (no model
+    compilation), so admission defers and rejects, batches fill and
+    shard, preempted checkpoints migrate, and warned devices evacuate.
+    """
+    mean_service = 1.5e-3 * 700e6
+    for seed, policy_name, mode, mechanism in COMBO_CASES:
+        tasks = synthetic_trace_runtimes(
+            COMBO_NUM_TASKS,
+            seed=seed,
+            mean_interarrival_cycles=mean_service
+            / (COMBO_DEVICES * COMBO_LOAD),
+            bursty=True,
+            qos_mix={"interactive": 0.3, "standard": 0.4, "batch": 0.3},
+        )
+        horizon = tasks[-1].spec.arrival_cycles
+        config = ClusterConfig(
+            policy_name=policy_name,
+            routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
+            seed=seed,
+            admission=AdmissionController(feedback=PredictionFeedback()),
+            batching=BatchConfig(
+                window_cycles=0.5e6,
+                max_batch=8,
+                marginal_fraction=0.6,
+                shard_stages=2,
+                min_shard_cycles=4e6,
+            ),
+            churn=ChurnSchedule.generate(
+                COMBO_DEVICES,
+                horizon_cycles=horizon,
+                seed=seed,
+                revocation_rate=1.0 / horizon,
+                drain_rate=0.5 / horizon,
+                mean_outage_cycles=horizon / 6,
+                mean_warning_cycles=2e6,
+            ),
+        )
+        scheduler = ClusterScheduler(
+            COMBO_DEVICES,
+            SimulationConfig(
+                npu=NPUConfig(),
+                mode=PreemptionMode(mode),
+                mechanism=mechanism,
+            ),
+            config=config,
+        )
+        result = scheduler.run(tasks)
+        record = _encode_cluster_v2(result)
+        record["rejected"] = sorted(t.task_id for t in result.rejected_tasks)
+        record["lost"] = sorted(t.task_id for t in result.lost_tasks)
+        record["admission"] = [
+            [r.task_id, r.decision.value, _hex(r.time_cycles),
+             _hex(r.predicted_slowdown)]
+            for r in result.admission_records
+        ]
+        yield f"combo/{seed}/{policy_name}/{mode}/{mechanism}", record
+
+
+def capture_combo() -> Dict[str, object]:
+    return {
+        "format": 1,
+        "note": (
+            "Feature-combination golden (migration + churn + admission + "
+            "sharded batching); regenerate only alongside an intentional "
+            "behavioral change (python tests/capture_cluster_goldens.py "
+            "--combo)."
+        ),
+        "runs": dict(combo_runs()),
+    }
+
+
 def capture_cluster(factory: TaskFactory = None) -> Dict[str, object]:
     """Run the cluster sweep and return the golden payload."""
     if factory is None:
@@ -330,16 +427,20 @@ def capture_cluster(factory: TaskFactory = None) -> Dict[str, object]:
     }
 
 
-def write_cluster_goldens(payload: Dict[str, object]) -> pathlib.Path:
-    CLUSTER_GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+def write_cluster_goldens(
+    payload: Dict[str, object], path: pathlib.Path = CLUSTER_GOLDEN_PATH
+) -> pathlib.Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    with gzip.GzipFile(CLUSTER_GOLDEN_PATH, "wb", mtime=0) as handle:
+    with gzip.GzipFile(path, "wb", mtime=0) as handle:
         handle.write(text.encode())
-    return CLUSTER_GOLDEN_PATH
+    return path
 
 
-def load_cluster_goldens() -> Dict[str, object]:
-    with gzip.open(CLUSTER_GOLDEN_PATH, "rt") as handle:
+def load_cluster_goldens(
+    path: pathlib.Path = CLUSTER_GOLDEN_PATH,
+) -> Dict[str, object]:
+    with gzip.open(path, "rt") as handle:
         return json.load(handle)
 
 

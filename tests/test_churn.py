@@ -44,6 +44,7 @@ from repro.sched.simulator import (
     PreemptionMode,
     SimulationConfig,
 )
+from repro.sched.timeline import SegmentKind
 from repro.serving import AdmissionController, PredictionFeedback
 from repro.workloads.specs import TaskSpec
 from repro.workloads.trace import (
@@ -450,6 +451,28 @@ class TestDeviceFail:
         assert orphan.orphaned_at is None
         assert orphan.recovery_delays == [pytest.approx(30_000.0)]
         assert orphan.restart_count == 1
+
+    def test_fail_mid_restore_clips_the_restore_span(self):
+        device = make_device()
+        low = make_task(0, 0.0, 20e6, Priority.LOW)
+        high = make_task(1, 5e6, 2e6, Priority.HIGH)
+        device.inject(low)
+        device.inject(high)
+        # Run until the preempted LOW task is dispatched again and starts
+        # restoring its checkpoint.
+        while not (
+            device.running_task is low and low.preemption_count == 1
+        ):
+            device.step()
+        start = low.dispatch_time
+        assert start is not None and low.dispatch_restore > 0.0
+        now = start + low.dispatch_restore / 2
+        (orphan,) = device.fail(now)
+        assert orphan is low and high.is_done
+        tail = [s for s in device.timeline.segments if s.task_id == 0][-1]
+        assert tail.kind is SegmentKind.RESTORE
+        assert (tail.start_cycles, tail.end_cycles) == (start, now)
+        device.timeline.verify_no_overlap()
 
     def test_force_checkpoint_matches_preview(self):
         device = make_device()

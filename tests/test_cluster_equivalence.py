@@ -135,3 +135,24 @@ def test_legacy_routings_immune_to_migration_knobs(goldens, factory):
         _assert_cluster_match(key, goldens[key], actual)
         seen += 1
     assert seen == 3 * 2 * len(legacy)
+
+
+def test_feature_combination_matches_golden():
+    """Preemptive migration, proactive churn (revocations and drains),
+    admission and 2-stage sharded batching on one 4-device fleet: the
+    combination where every consumer of the device clock meets."""
+    path = helpers_golden.COMBO_GOLDEN_PATH
+    assert path.exists(), (
+        "combination golden missing; regenerate via: "
+        "python tests/capture_cluster_goldens.py --combo"
+    )
+    goldens = helpers_golden.load_cluster_goldens(path)["runs"]
+    seen = 0
+    for key, actual in helpers_golden.combo_runs():
+        expected = goldens[key]
+        _assert_cluster_match(key, expected, actual)
+        for field in ("rejected", "lost", "admission"):
+            assert actual[field] == expected[field], f"{key}: {field}"
+        assert actual["migrations"], f"{key}: no migrations exercised"
+        seen += 1
+    assert seen == len(goldens) == len(helpers_golden.COMBO_CASES)

@@ -14,6 +14,7 @@ from repro.sched.cluster import (
     ClusterScheduler,
     RoutingPolicy,
 )
+from repro.sched.job import BatchConfig
 from repro.sched.rack import RackTopology
 from repro.sched.simulator import PreemptionMode, SimulationConfig
 from repro.serving.slo import DEFAULT_SLOS
@@ -145,10 +146,12 @@ class TestSampler:
 
 
 class TestClusterSampling:
-    def run_sampled(self, factory, config, capacity=512, **extra):
+    def run_sampled(
+        self, factory, config, capacity=512, interval=20_000.0, **extra
+    ):
         sim = SimulationConfig(npu=config, mode=PreemptionMode.DYNAMIC)
         workload = WorkloadGenerator(seed=81).generate(num_tasks=24)
-        sampler = MetricsSampler(interval_cycles=20_000.0, capacity=capacity)
+        sampler = MetricsSampler(interval_cycles=interval, capacity=capacity)
         scheduler = ClusterScheduler(
             4, sim,
             config=ClusterConfig(
@@ -194,3 +197,19 @@ class TestClusterSampling:
         names = sampler.series_names()
         assert "rack0.busy_devices" in names
         assert "rack1.busy_devices" in names
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"batching": BatchConfig(window_cycles=5e6, shard_stages=2)}],
+        ids=["task-loop", "gang-loop"],
+    )
+    def test_samples_land_on_exact_grid_points(self, factory, config, extra):
+        """Every point k * interval is sampled, in order, at exactly that
+        float -- never at whatever event time happened to cross it."""
+        interval = 12_345.6
+        sampler = self.run_sampled(
+            factory, config, capacity=100_000, interval=interval, **extra
+        )
+        times = [t for t, _ in sampler.series("cluster.utilization")]
+        assert len(times) > 10
+        assert times == [k * interval for k in range(len(times))]

@@ -96,6 +96,7 @@ def _assert_identical(serial, parallel) -> None:
         == helpers_golden._encode_cluster_v2(parallel)
     )
     assert serial.events_processed == parallel.events_processed
+    assert serial.events_by_kind == parallel.events_by_kind
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import pytest
 
+import helpers_golden
+from repro.core.scheduler import SchedulerConfig
 from repro.core.tokens import Priority
+from repro.npu.config import NPUConfig
+from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_metrics
 from repro.sched.policies import make_policy
 from repro.sched.simulator import (
+    DeviceSim,
     NPUSimulator,
     PreemptionMode,
     SimulationConfig,
@@ -13,6 +18,7 @@ from repro.sched.simulator import (
 from repro.sched.timeline import SegmentKind
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.specs import TaskSpec
+from repro.workloads.trace import synthetic_runtime, synthetic_trace_runtimes
 
 
 def spec(task_id, benchmark, priority, arrival_ms, config, **kw):
@@ -200,3 +206,90 @@ class TestEnsembleInvariants:
         second = sim.run(factory.build_workload(workload))
         for a, b in zip(first.tasks, second.tasks):
             assert a.completion_time == b.completion_time
+
+
+PERIOD = SchedulerConfig().period_cycles
+
+
+def lone_task(cycles=50 * PERIOD, task_id=0):
+    return synthetic_runtime(
+        TaskSpec(task_id=task_id, benchmark=f"syn{task_id}", batch=1,
+                 priority=Priority.MEDIUM, arrival_cycles=0.0),
+        cycles,
+    )
+
+
+def drain(sim):
+    while sim.has_live_tasks and sim.next_event_time() is not None:
+        sim.step()
+    return sim.result()
+
+
+class TestLazyPeriodClock:
+    """Period ticks fire only when they can matter (DeviceSim docstring)."""
+
+    def sim_config(self, mode=PreemptionMode.DYNAMIC, mechanism="CHECKPOINT"):
+        return SimulationConfig(npu=NPUConfig(), mode=mode, mechanism=mechanism)
+
+    def test_lone_task_processes_no_period_events(self):
+        result = NPUSimulator(self.sim_config(), make_policy("PREMA")).run(
+            [lone_task()]
+        )
+        assert result.events_by_kind == {
+            "COMPLETE": 1, "ARRIVAL": 1, "PERIOD": 0, "DISPATCH": 0,
+        }
+        cluster = ClusterScheduler(
+            1, self.sim_config(),
+            config=ClusterConfig(routing=RoutingPolicy.ONLINE_PREDICTED),
+        ).run([lone_task()])
+        assert cluster.events_by_kind["PERIOD"] == 0
+        assert cluster.events_processed == sum(cluster.events_by_kind.values())
+
+    def test_waiting_rows_still_get_their_ticks(self):
+        tasks = [lone_task(), lone_task(10 * PERIOD, task_id=1)]
+        result = NPUSimulator(
+            self.sim_config(PreemptionMode.NP), make_policy("FCFS")
+        ).run(tasks)
+        # Task 1 waits the whole 50 periods of task 0 behind it.
+        assert result.events_by_kind["PERIOD"] >= 50
+
+    def test_stop_accepting_queues_the_next_grid_tick(self):
+        sim = DeviceSim(self.sim_config(), make_policy("PREMA"))
+        sim.inject(lone_task())
+        sim.step()  # arrival -> dispatch; no tick can matter yet
+        assert sim.next_event_key()[1] == 0  # only the COMPLETE is queued
+        sim.stop_accepting(3.5 * PERIOD)
+        due = 0.0 + PERIOD
+        while due < 3.5 * PERIOD:
+            due += PERIOD
+        assert sim.next_event_time() == due
+
+    @pytest.mark.parametrize(
+        "policy,mode,mechanism",
+        [
+            ("PREMA", PreemptionMode.DYNAMIC, "CHECKPOINT"),
+            ("TOKEN", PreemptionMode.STATIC, "KILL"),
+            ("HPF", PreemptionMode.STATIC, "CHECKPOINT"),
+            ("FCFS", PreemptionMode.NP, "CHECKPOINT"),
+        ],
+    )
+    def test_ticking_every_period_changes_no_schedule(
+        self, policy, mode, mechanism
+    ):
+        """A device polled on every grid point (the eager clock) and a
+        lazy one produce bit-identical schedules."""
+        config = self.sim_config(mode, mechanism)
+        lazy = DeviceSim(config, make_policy(policy))
+        eager = DeviceSim(config, make_policy(policy))
+        eager.poll_ticks(True, 0.0, False)
+        for sim in (lazy, eager):
+            for task in synthetic_trace_runtimes(300, seed=12, bursty=True):
+                sim.inject(task)
+        lazy_result, eager_result = drain(lazy), drain(eager)
+        assert helpers_golden._encode_result(
+            lazy_result
+        ) == helpers_golden._encode_result(eager_result)
+        assert (
+            lazy_result.events_by_kind["PERIOD"]
+            < eager_result.events_by_kind["PERIOD"]
+        )
