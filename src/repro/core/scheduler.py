@@ -119,9 +119,20 @@ class PremaPolicyCore:
         max_pool_tokens: float,
     ) -> bool:
         """O(1) form of :meth:`should_preempt` for callers that already
-        track the maximum token count over ready + running (the
-        incremental policy structures do)."""
-        threshold = candidate_threshold(max_pool_tokens)
+        track the maximum token count over ready + running."""
+        return self.should_preempt_given_threshold(
+            candidate, running, candidate_threshold(max_pool_tokens)
+        )
+
+    def should_preempt_given_threshold(
+        self,
+        candidate: TaskContext,
+        running: TaskContext,
+        threshold: float,
+    ) -> bool:
+        """:meth:`should_preempt` given the candidate threshold of the
+        ready + running pool (the incremental policy structures derive it
+        from their highest non-empty token bucket)."""
         if running.tokens <= threshold:
             # The running task has fallen out of the candidate group.
             return True

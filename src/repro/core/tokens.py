@@ -93,6 +93,13 @@ def candidate_bucket(tokens: float) -> int:
 
 NUM_CANDIDATE_BUCKETS = len(TOKEN_LEVELS) + 1
 
+#: The candidate threshold of each bucket: ``candidate_threshold(m) ==
+#: BUCKET_THRESHOLDS[candidate_bucket(m)]`` for every ``m``, so the
+#: threshold depends on the maximum token count only through its bucket.
+BUCKET_THRESHOLDS: Tuple[float, ...] = (0.0,) + tuple(
+    float(level) for level in TOKEN_LEVELS
+)
+
 
 class ClusterTokenLedger:
     """Cluster-global registry of ready tasks' token counts.

@@ -29,12 +29,12 @@ Two selection surfaces exist:
   priority structures** (lazy-deletion heaps; token policies bucket rows
   by the Algorithm-2 candidate threshold grid), updated through the
   lifecycle hooks (``on_admit``/``on_dispatch``/``on_requeue``/
-  ``on_remove``) and rebuilt wholesale at each period re-rank
-  (``on_period``), when every ready row's token count moves at once.
-  Every selection rule ranks by a strict total order (ties break on task
-  id), so the structures return exactly the row the reference scan
-  returns -- they change the cost of a wake from O(ready) to O(log
-  ready), never the decision.
+  ``on_remove``).  At a period re-rank (``on_period``) every ready row's
+  token count may rise, but only the rows that crossed a priority token
+  level change bucket, so only those move.  Every selection rule ranks
+  by a strict total order (ties break on task id), so the structures
+  return exactly the row the reference scan returns -- they change the
+  cost of a wake from O(ready) to O(log ready), never the decision.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.scheduler import PremaPolicyCore, SchedulerConfig
 from repro.core.tokens import (
+    BUCKET_THRESHOLDS,
     NUM_CANDIDATE_BUCKETS,
+    TOKEN_LEVELS,
     ClusterTokenLedger,
     candidate_bucket,
     candidate_threshold,
@@ -61,15 +63,14 @@ class Policy:
     uses_predictor: bool = False
     #: Does the policy maintain tokens on period ticks?
     uses_tokens: bool = False
+    #: Does a refused preemption (``outranks_running`` False) stay refused
+    #: until the next simulator event?  True when neither selection nor
+    #: ranking reads the time or moves policy state; the simulator then
+    #: skips the period ticks that could only repeat the refusal.
+    stable_refusals: bool = False
     #: Cluster-global token ledger (token policies only; None = the
     #: per-device threshold semantics of the single-NPU paper setting).
     _ledger: Optional[ClusterTokenLedger] = None
-
-    def _ledger_max(self, local_max: float) -> float:
-        """Fold the cluster ledger's maximum into a local token maximum."""
-        if self._ledger is None:
-            return local_max
-        return max(local_max, self._ledger.ready_max_tokens())
 
     def on_period(self, table: ContextTable) -> None:
         """Hook invoked at each scheduling-period tick."""
@@ -216,24 +217,30 @@ class _TokenBuckets:
 
     Ready rows are bucketed by :func:`candidate_bucket` -- the number of
     priority token levels strictly below their token count -- with one
-    lazy min-heap per bucket ordered by the policy's selection key, plus
-    one lazy max-heap on token count.  The candidate group ("tokens above
-    the dynamic threshold") is then exactly the union of the buckets at
-    or above the maximum row's bucket, so selection inspects at most
-    ``NUM_CANDIDATE_BUCKETS`` heap tops.  Token counts only move at
-    period re-ranks, which rebuild the structure wholesale.
+    lazy min-heap per bucket ordered by the policy's selection key.  The
+    candidate threshold depends on the maximum token count only through
+    its bucket (``BUCKET_THRESHOLDS``), so the highest non-empty bucket
+    stands in for the maximum row, and the candidate group ("tokens above
+    the dynamic threshold") is exactly the union of the buckets at or
+    above it: selection inspects at most ``NUM_CANDIDATE_BUCKETS`` heap
+    tops.  Token counts only move at period grants, which only raise
+    them; :meth:`regrade` then moves just the rows that crossed a level.
     """
 
-    __slots__ = ("_select_key", "_buckets", "_max_heap", "_bucket_of")
+    __slots__ = ("_select_key", "_buckets", "_resident", "_bucket_of")
 
     def __init__(self, select_key: Callable[[TaskContext], object]) -> None:
         self._select_key = select_key
         self._buckets = [
             _LazyMinHeap(select_key) for _ in range(NUM_CANDIDATE_BUCKETS)
         ]
-        self._max_heap = _LazyMinHeap(
-            lambda row: (-row.tokens, row.task_id)
-        )
+        #: Each heap's resident-row map, highest bucket first: the
+        #: emptiness scan runs at every wake, so it reads the maps
+        #: directly rather than through ``len()``.
+        self._resident = [
+            (bucket, heap._live)
+            for bucket, heap in reversed(list(enumerate(self._buckets)))
+        ]
         self._bucket_of: Dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -243,18 +250,15 @@ class _TokenBuckets:
         bucket = candidate_bucket(row.tokens)
         self._bucket_of[row.task_id] = bucket
         self._buckets[bucket].add(row)
-        self._max_heap.add(row)
 
     def discard(self, task_id: int) -> None:
         bucket = self._bucket_of.pop(task_id, None)
         if bucket is not None:
             self._buckets[bucket].discard(task_id)
-            self._max_heap.discard(task_id)
 
     def clear(self) -> None:
         for bucket in self._buckets:
             bucket.clear()
-        self._max_heap.clear()
         self._bucket_of.clear()
 
     def rebuild(self, rows: Sequence[TaskContext]) -> None:
@@ -262,8 +266,35 @@ class _TokenBuckets:
         for row in rows:
             self.add(row)
 
-    def max_tokens_row(self) -> Optional[TaskContext]:
-        return self._max_heap.peek()
+    def regrade(self, rows: Sequence[TaskContext]) -> None:
+        """Re-bucket ``rows`` after a token grant, in place.
+
+        Grants only raise counts and the selection keys do not move while
+        a row is ready, so a row changes heap only when its count crossed
+        the next priority token level.  A row the structure does not hold
+        (a hookless table change) falls back to :meth:`rebuild`.
+        """
+        bucket_of = self._bucket_of
+        for row in rows:
+            bucket = bucket_of.get(row.task_id)
+            if bucket is None:
+                self.rebuild(rows)
+                return
+            if bucket < len(TOKEN_LEVELS) and row.tokens > TOKEN_LEVELS[bucket]:
+                self._buckets[bucket].discard(row.task_id)
+                self.add(row)
+
+    def top_bucket(self) -> int:
+        """Bucket of the maximum token count (-1 when empty)."""
+        for bucket, live in self._resident:
+            if live:
+                return bucket
+        return -1
+
+    def threshold(self, tokens: float) -> float:
+        """``candidate_threshold`` of the max over the resident rows and
+        ``tokens`` (the running row's count or a cluster maximum)."""
+        return BUCKET_THRESHOLDS[max(self.top_bucket(), candidate_bucket(tokens))]
 
     def _best_in(self, buckets) -> Optional[TaskContext]:
         best: Optional[TaskContext] = None
@@ -286,20 +317,18 @@ class _TokenBuckets:
         best local row outright -- exactly the reference semantics, still
         from bucket-top peeks.
         """
-        top = self._max_heap.peek()
-        if top is None:
+        top = self.top_bucket()
+        if top < 0:
             return None
-        effective_max = max(top.tokens, external_max_tokens)
-        threshold = candidate_threshold(effective_max)
-        start = candidate_bucket(effective_max)
+        start = max(top, candidate_bucket(external_max_tokens))
         best = self._best_in(self._buckets[start:])
-        if best is not None and best.tokens > threshold:
-            return best
-        if external_max_tokens > top.tokens:
+        if best is None:
             # The threshold is driven by a remote device's maximum and no
             # local row clears it: serve the best local row regardless
             # (the device must not idle on account of a remote task).
             return self._best_in(self._buckets)
+        if best.tokens > BUCKET_THRESHOLDS[start]:
+            return best
         # Degenerate token states (non-positive counts) exist only in
         # hand-built tables; let the caller rescan.
         return None
@@ -370,10 +399,65 @@ class _IncrementalReadyPolicy(Policy):
         return None
 
 
+class _TokenBucketPolicy(_IncrementalReadyPolicy):
+    """Period and threshold plumbing shared by the token policies.
+
+    Subclasses supply the selection key of their buckets and the
+    reference ``select``/``outranks``.
+    """
+
+    uses_predictor = True
+    uses_tokens = True
+
+    def __init__(
+        self,
+        select_key: Callable[[TaskContext], object],
+        core: Optional[PremaPolicyCore] = None,
+        ledger: Optional[ClusterTokenLedger] = None,
+    ) -> None:
+        self.core = core or PremaPolicyCore()
+        self._ledger = ledger
+        self._buckets = _TokenBuckets(select_key)
+
+    def _structure(self):
+        return self._buckets
+
+    def _external_max(self) -> float:
+        """The cluster ledger's maximum token count (0.0 without one)."""
+        return self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
+
+    def on_period(self, table: ContextTable) -> None:
+        self.core.grant_periodic_tokens(table)
+        # Grants may lift rows over a token level: re-bucket those in
+        # place.  Period ticks are also the settlement point where the
+        # cluster ledger learns the new counts.
+        ready = table.ready()
+        if len(self._buckets) != len(ready):
+            self._buckets.rebuild(ready)
+        else:
+            self._buckets.regrade(ready)
+        if self._ledger is not None:
+            for row in ready:
+                self._ledger.activate(row.task_id, row.tokens)
+
+    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
+        if not table.has_ready:
+            return None
+        self._sync(table)
+        row = self._validated(self._buckets.select(self._external_max()), table)
+        return row if row is not None else self.select(table.ready())
+
+    def _pool_threshold(self, running: TaskContext, table: ContextTable) -> float:
+        """Candidate threshold over ready + running (+ the ledger max)."""
+        self._sync(table)
+        return self._buckets.threshold(max(running.tokens, self._external_max()))
+
+
 class FcfsPolicy(Policy):
     """Non-preemptive first-come first-serve (the NP-FCFS baseline)."""
 
     name = "FCFS"
+    stable_refusals = True
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
@@ -396,6 +480,12 @@ class RoundRobinPolicy(Policy):
     The ready queue is at most the live task set, so the per-pick scan
     stays O(live); no incremental structure is needed for a policy whose
     cursor state changes at every pick.
+
+    In the preemptive modes every wake with a task running still picks
+    a candidate before ``outranks`` refuses it, so each period tick
+    advances the cursor: RRB's refusals are not stable and its ticks stay
+    live (a rotation that moved only on dispatch would let the simulator
+    skip them, but would change RRB's preemptive-mode schedules).
     """
 
     name = "RRB"
@@ -424,6 +514,7 @@ class HpfPolicy(_IncrementalReadyPolicy):
     """High-priority first; FCFS among equal priorities."""
 
     name = "HPF"
+    stable_refusals = True
 
     def __init__(self) -> None:
         self._heap = _LazyMinHeap(
@@ -462,56 +553,28 @@ class HpfPolicy(_IncrementalReadyPolicy):
         return self.outranks(candidate, running)
 
 
-class TokenPolicy(_IncrementalReadyPolicy):
+class TokenPolicy(_TokenBucketPolicy):
     """Token-based candidate group, naive FCFS among candidates (Sec VI-A)."""
 
     name = "TOKEN"
-    uses_predictor = True
-    uses_tokens = True
 
     def __init__(
         self,
         core: Optional[PremaPolicyCore] = None,
         ledger: Optional[ClusterTokenLedger] = None,
     ) -> None:
-        self._core = core or PremaPolicyCore()
-        self._ledger = ledger
-        self._buckets = _TokenBuckets(lambda row: row.task_id)
-
-    def _structure(self):
-        return self._buckets
-
-    def on_period(self, table: ContextTable) -> None:
-        self._core.grant_periodic_tokens(table)
-        # Every ready row's tokens may have moved: period re-ranks
-        # invalidate the buckets wholesale -- and are the settlement
-        # point where the cluster ledger learns the new counts.
-        ready = table.ready()
-        self._buckets.rebuild(ready)
-        if self._ledger is not None:
-            for row in ready:
-                self._ledger.activate(row.task_id, row.tokens)
+        super().__init__(lambda row: row.task_id, core, ledger)
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
             return None
         threshold = candidate_threshold(
-            self._ledger_max(max(row.tokens for row in ready))
+            max(max(row.tokens for row in ready), self._external_max())
         )
         candidates = [row for row in ready if row.tokens > threshold]
         if not candidates:
             candidates = list(ready)
         return min(candidates, key=lambda row: row.task_id)
-
-    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        if not table.has_ready:
-            return None
-        self._sync(table)
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        row = self._validated(self._buckets.select(external), table)
-        return row if row is not None else self.select(table.ready())
 
     def outranks(
         self,
@@ -524,7 +587,7 @@ class TokenPolicy(_IncrementalReadyPolicy):
         # a waiting task clears it.
         pool = list(ready) + [running]
         threshold = candidate_threshold(
-            self._ledger_max(max(row.tokens for row in pool))
+            max(max(row.tokens for row in pool), self._external_max())
         )
         return running.tokens <= threshold < candidate.tokens
 
@@ -534,12 +597,7 @@ class TokenPolicy(_IncrementalReadyPolicy):
         running: TaskContext,
         table: ContextTable,
     ) -> bool:
-        self._sync(table)
-        top = self._buckets.max_tokens_row()
-        ready_max = top.tokens if top is not None else running.tokens
-        threshold = candidate_threshold(
-            self._ledger_max(max(ready_max, running.tokens))
-        )
+        threshold = self._pool_threshold(running, table)
         return running.tokens <= threshold < candidate.tokens
 
 
@@ -548,6 +606,7 @@ class SjfPolicy(_IncrementalReadyPolicy):
 
     name = "SJF"
     uses_predictor = True
+    stable_refusals = True
 
     def __init__(self) -> None:
         # estimated_remaining_cycles is stable while a row sits in the
@@ -594,53 +653,26 @@ class SjfPolicy(_IncrementalReadyPolicy):
         return self.outranks(candidate, running)
 
 
-class PremaPolicy(_IncrementalReadyPolicy):
+class PremaPolicy(_TokenBucketPolicy):
     """The full PREMA policy (Algorithm 2) via the core implementation."""
 
     name = "PREMA"
-    uses_predictor = True
-    uses_tokens = True
 
     def __init__(
         self,
         core: Optional[PremaPolicyCore] = None,
         ledger: Optional[ClusterTokenLedger] = None,
     ) -> None:
-        self.core = core or PremaPolicyCore()
-        self._ledger = ledger
-        self._buckets = _TokenBuckets(
-            lambda row: (row.estimated_remaining_cycles, row.task_id)
+        super().__init__(
+            lambda row: (row.estimated_remaining_cycles, row.task_id),
+            core,
+            ledger,
         )
-
-    def _structure(self):
-        return self._buckets
-
-    def on_period(self, table: ContextTable) -> None:
-        self.core.grant_periodic_tokens(table)
-        ready = table.ready()
-        self._buckets.rebuild(ready)
-        if self._ledger is not None:
-            for row in ready:
-                self._ledger.activate(row.task_id, row.tokens)
 
     def select(self, ready: Sequence[TaskContext]) -> Optional[TaskContext]:
         if not ready:
             return None
-        table_like = _ReadyView(ready)
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        return self.core.select_candidate(table_like, external)
-
-    def select_ready(self, table: ContextTable) -> Optional[TaskContext]:
-        if not table.has_ready:
-            return None
-        self._sync(table)
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
-        )
-        row = self._validated(self._buckets.select(external), table)
-        return row if row is not None else self.select(table.ready())
+        return self.core.select_candidate(_ReadyView(ready), self._external_max())
 
     def outranks(
         self,
@@ -648,10 +680,9 @@ class PremaPolicy(_IncrementalReadyPolicy):
         running: TaskContext,
         ready: Sequence[TaskContext] = (),
     ) -> bool:
-        external = (
-            self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
+        return self.core.should_preempt(
+            candidate, running, ready, self._external_max()
         )
-        return self.core.should_preempt(candidate, running, ready, external)
 
     def outranks_running(
         self,
@@ -659,13 +690,8 @@ class PremaPolicy(_IncrementalReadyPolicy):
         running: TaskContext,
         table: ContextTable,
     ) -> bool:
-        self._sync(table)
-        top = self._buckets.max_tokens_row()
-        ready_max = top.tokens if top is not None else running.tokens
-        return self.core.should_preempt_given_max(
-            candidate,
-            running,
-            self._ledger_max(max(ready_max, running.tokens)),
+        return self.core.should_preempt_given_threshold(
+            candidate, running, self._pool_threshold(running, table)
         )
 
 

@@ -25,15 +25,16 @@ per device, :mod:`repro.workloads.trace`) tractable:
 - the predicted backlog iterates an admission-ordered live-task set, so
   completed tasks stop costing anything;
 - waiting/token accounting settles lazily from ``last_update_cycles`` at
-  its read points (period ticks, dispatch, migration) instead of walking
-  the ready queue at every wake;
+  its read points (token grants at period ticks, dispatch, migration)
+  instead of walking the ready queue at every wake;
 - ready-queue selection goes through the policies' incremental priority
   structures (:mod:`repro.sched.policies`) and the context table's
   incremental ready index;
 - the scheduling-period grid is virtual: a PERIOD event is queued only
   while a tick can change something (see :class:`DeviceSim`), so a
-  device whose ready queue is empty does not pay for the ticks that
-  would only re-arm themselves.
+  device whose ready queue is empty, or whose waiting rows a tick could
+  neither grant tokens nor re-rank against the running task, does not
+  pay for the ticks that would only re-arm themselves.
 
 Preemption modes:
 
@@ -181,13 +182,14 @@ class DeviceSim:
     period after the first admitted arrival and advances by repeated
     ``+= period_cycles``; once every resident task has completed, the
     next tick disarms it and the next arrival re-anchors it.  The grid
-    itself is virtual: a tick with an empty ready queue grants no tokens,
-    finds no candidate and only re-arms itself, so after every step (and
-    on :meth:`stop_accepting`, :meth:`force_checkpoint` and
-    :meth:`poll_ticks`) the device queues a PERIOD event only when a
-    tick can matter:
+    itself is virtual: a tick whose wake cannot decide anything new only
+    re-arms itself, so after every step (and on :meth:`stop_accepting`,
+    :meth:`force_checkpoint` and :meth:`poll_ticks`) the device queues a
+    PERIOD event only when a tick can matter:
 
-    - a row is READY (the tick settles waits, grants tokens, re-ranks);
+    - a row is READY and either the policy's state moves on ticks (the
+      token policies grant tokens) or the last wake did not end in a
+      *time-stable* outcome (see below);
     - the device has drained (the tick that disarms and re-anchors the
       grid must fire at its exact time);
     - the device stopped accepting work (churn WARNED/DRAINING): the
@@ -196,6 +198,23 @@ class DeviceSim:
     - the cluster asked for every tick (:meth:`poll_ticks`): preemptive
       migration re-checks the whole fleet after any device's event, and
       whether a move pays off depends on the time of the check.
+
+    A wake outcome is time-stable when repeating the wake at any later
+    tick, with no event in between, must give the same answer and change
+    no state: NP mode with a task running (the wake returns at once), or
+    a refused preemption under a policy whose refusals hold until the
+    next event (:attr:`Policy.stable_refusals`: FCFS, HPF and SJF, whose
+    keys do not depend on time -- under SJF the running task's remaining
+    estimate only shrinks).  A DRAIN verdict is not stable (DYNAMIC mode
+    counts one drain decision per tick), nor is a wake that returned
+    early on a reserved NPU, nor any step that ran no wake (a DISPATCH
+    starts the reserved task without one, so a candidate that arrived
+    during the trap is first checked at the next tick), and
+    :meth:`force_checkpoint` unsettles the device too.  RRB's
+    preemptive-mode wakes advance its rotation cursor, so its refusals
+    are not stable either.  Only the token policies settle waits at a
+    tick, so the other policies' wait sums do not depend on which ticks
+    fired either.
 
     Skipped grid points are caught up by the same repeated addition, so
     every queued tick lands on the float the eager clock would have
@@ -242,6 +261,8 @@ class DeviceSim:
         self._next_period = 0.0
         self._period_queued = False
         self._period_polled = False
+        #: The last wake ended in a time-stable outcome (class docstring).
+        self._wake_settled = False
         self._preemption_count = 0
         self._drain_decisions = 0
         self._completed = 0
@@ -363,6 +384,7 @@ class DeviceSim:
         self.last_event_kind = kind
         self.last_completed = None
         self._kind_counts[rank] += 1
+        self._wake_settled = False
         if kind is _ARRIVAL:
             self._on_arrival(now, payload)  # type: ignore[arg-type]
         elif kind is _COMPLETE:
@@ -389,7 +411,10 @@ class DeviceSim:
         if not self._period_armed or self._period_queued:
             return
         if not (
-            self._table.has_ready
+            (
+                self._table.has_ready
+                and (self.policy.uses_tokens or not self._wake_settled)
+            )
             or self._period_polled
             or not self.accepts_work
             or self._completed == len(self._runtimes)
@@ -841,6 +866,7 @@ class DeviceSim:
         self._running_id = None
         self._push(free_at, _EventKind.DISPATCH, None)
         # The victim is a new READY row: its ticks matter again.
+        self._wake_settled = False
         self._queue_period(
             now, now == self._now and self.last_event_kind is _DISPATCH
         )
@@ -929,10 +955,12 @@ class DeviceSim:
             self._next_period = now + self.config.scheduler.period_cycles
         else:
             self._period_armed = False
-        # Lazy settlement: period ticks are the one wake that *reads*
-        # waiting time (token grants), so they settle the ready queue.
-        self._accrue_ready(now)
         if self.policy.uses_tokens:
+            # Lazy settlement: token grants are the one tick-time *read*
+            # of waiting time, so only they settle the ready queue.  The
+            # other policies' rows settle at dispatch or migration, which
+            # keeps their wait sums independent of how many ticks fired.
+            self._accrue_ready(now)
             self.policy.on_period(self._table)
         self._wake(now)
 
@@ -957,9 +985,10 @@ class DeviceSim:
     def _accrue_ready(self, now: float) -> None:
         """Settle waiting time for every ready row up to ``now``.
 
-        Called at read points only (period ticks); between reads, idle
-        waiters cost nothing -- ``accrue_wait`` integrates the whole span
-        since each row's ``last_update_cycles`` when it finally runs.
+        Called at read points only (token policies' period ticks);
+        between reads, idle waiters cost nothing -- ``accrue_wait``
+        integrates the whole span since each row's
+        ``last_update_cycles`` when it finally runs.
         """
         for row in self._table.ready():
             row.accrue_wait(now)
@@ -1037,9 +1066,11 @@ class DeviceSim:
             self._running_id = self._dispatch(
                 now, self._runtimes[candidate_ctx.task_id]
             )
+            self._wake_settled = self.config.mode == PreemptionMode.NP
             return
 
         if self.config.mode == PreemptionMode.NP:
+            self._wake_settled = True
             return
 
         candidate_ctx = self.policy.select_ready(self._table)
@@ -1058,6 +1089,7 @@ class DeviceSim:
         if not self.policy.outranks_running(
             candidate_ctx, running.context, self._table
         ):
+            self._wake_settled = self.policy.stable_refusals
             return
 
         mechanism: PreemptionMechanism = (

@@ -13,12 +13,15 @@ import pytest
 
 from repro.core.context import ContextTable, TaskContext, TaskState
 from repro.core.tokens import (
+    BUCKET_THRESHOLDS,
     NUM_CANDIDATE_BUCKETS,
+    ClusterTokenLedger,
     Priority,
     TOKEN_LEVELS,
     candidate_bucket,
     candidate_threshold,
 )
+from repro.sched import policies
 from repro.sched.policies import POLICY_NAMES, make_policy
 
 
@@ -40,6 +43,15 @@ class TestCandidateBucket:
             assert 0 <= bucket < NUM_CANDIDATE_BUCKETS
             # Definition: number of levels strictly below the count.
             assert bucket == sum(1 for level in TOKEN_LEVELS if level < tokens)
+
+    def test_threshold_depends_only_on_the_bucket(self):
+        rng = random.Random(1)
+        samples = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 3.0001, 9.0, 9.5, 80.0]
+        samples += [rng.uniform(0.0, 30.0) for _ in range(500)]
+        for max_tokens in samples:
+            assert candidate_threshold(max_tokens) == BUCKET_THRESHOLDS[
+                candidate_bucket(max_tokens)
+            ]
 
     def test_bucket_order_equals_candidate_group(self):
         """tokens > threshold(max)  <=>  bucket(tokens) >= bucket(max)."""
@@ -257,3 +269,112 @@ def test_select_ready_without_hooks_self_heals():
         picked2 = policy.select_ready(table)
         reference2 = make_policy(policy_name).select(table.ready())
         assert picked2 is not None and picked2.task_id == reference2.task_id
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts wholesale rebuilds of any token policy's bucket structure."""
+    calls = []
+    original = policies._TokenBuckets.rebuild
+
+    def rebuild(self, rows):
+        calls.append(len(rows))
+        original(self, rows)
+
+    monkeypatch.setattr(policies._TokenBuckets, "rebuild", rebuild)
+    return calls
+
+
+def _assert_buckets_exact(policy, table):
+    bucket_of = policy._buckets._bucket_of
+    assert sorted(bucket_of) == [row.task_id for row in table.ready()]
+    for row in table.ready():
+        assert bucket_of[row.task_id] == candidate_bucket(row.tokens)
+
+
+@pytest.mark.parametrize("with_ledger", [False, True])
+@pytest.mark.parametrize("policy_name", ["TOKEN", "PREMA"])
+def test_in_place_regrade_matches_reference(
+    policy_name, with_ledger, rebuilds
+):
+    """Rows stay resident across many grants that cross the 1/3/9
+    levels; the in-place re-bucketing must answer like the scans."""
+    rng = random.Random(2026)
+    ledger = ClusterTokenLedger() if with_ledger else None
+    policy = make_policy(policy_name, ledger=ledger)
+    reference = make_policy(policy_name, ledger=ledger)
+    table = ContextTable()
+    rows = []
+    for task_id in range(12):
+        row = TaskContext(
+            task_id=task_id,
+            priority=list(Priority)[task_id % 3],
+            estimated_cycles=rng.uniform(1e5, 4e5),
+        )
+        table.add(row)
+        policy.on_admit(row, 0.0)
+        rows.append(row)
+    running = rows[0]
+    running.state = TaskState.RUNNING
+    policy.on_dispatch(running)
+    crossed = set()
+    for step in range(80):
+        if with_ledger and step % 7 == 0:
+            # A remote device's ready row: its count can raise the
+            # threshold above every local row.
+            ledger.activate(1000 + step % 3, rng.uniform(0.5, 40.0))
+        before = {row.task_id: candidate_bucket(row.tokens) for row in rows}
+        for row in table.ready():
+            row.waited_since_grant += rng.uniform(0.0, 1e5)
+        policy.on_period(table)
+        crossed |= {
+            row.task_id for row in rows
+            if candidate_bucket(row.tokens) != before[row.task_id]
+        }
+        _assert_buckets_exact(policy, table)
+        fast = policy.select_ready(table)
+        slow = reference.select(table.ready())
+        assert fast is not None and fast.task_id == slow.task_id, step
+        running.executed_cycles = min(
+            running.estimated_cycles,
+            running.executed_cycles + rng.uniform(0.0, 2e4),
+        )
+        assert policy.outranks_running(fast, running, table) == (
+            reference.outranks(fast, running, table.ready())
+        ), step
+        if step % 10 == 9:
+            # Rotate the running row so every row spends time resident.
+            running.state = TaskState.READY
+            policy.on_requeue(running)
+            running = fast
+            running.state = TaskState.RUNNING
+            policy.on_dispatch(running)
+    assert len(crossed) >= 8
+    assert max(candidate_bucket(row.tokens) for row in rows) == len(TOKEN_LEVELS)
+    assert rebuilds == []
+
+
+@pytest.mark.parametrize("policy_name", ["TOKEN", "PREMA"])
+def test_hookless_change_makes_on_period_rebuild(policy_name, rebuilds):
+    policy = make_policy(policy_name)
+    table = ContextTable()
+    rows = [make_row(i) for i in range(6)]
+    for row in rows:
+        table.add(row)
+        policy.on_admit(row, 0.0)
+    # Count mismatch: a row joins the table without on_admit.
+    table.add(make_row(6))
+    policy.on_period(table)
+    assert len(rebuilds) == 1
+    _assert_buckets_exact(policy, table)
+    # Equal counts, unknown row: one row retires and another joins, both
+    # behind the policy's back.
+    rows[2].state = TaskState.DONE
+    table.add(make_row(7))
+    for row in table.ready():
+        row.waited_since_grant += 4e6
+    policy.on_period(table)
+    assert len(rebuilds) == 2
+    _assert_buckets_exact(policy, table)
+    reference = make_policy(policy_name).select(table.ready())
+    assert policy.select_ready(table).task_id == reference.task_id

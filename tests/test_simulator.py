@@ -8,7 +8,7 @@ from repro.core.tokens import Priority
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_metrics
-from repro.sched.policies import make_policy
+from repro.sched.policies import POLICY_NAMES, make_policy
 from repro.sched.simulator import (
     DeviceSim,
     NPUSimulator,
@@ -245,13 +245,59 @@ class TestLazyPeriodClock:
         assert cluster.events_by_kind["PERIOD"] == 0
         assert cluster.events_processed == sum(cluster.events_by_kind.values())
 
-    def test_waiting_rows_still_get_their_ticks(self):
+    def test_token_policy_waiting_rows_still_get_their_ticks(self):
         tasks = [lone_task(), lone_task(10 * PERIOD, task_id=1)]
         result = NPUSimulator(
-            self.sim_config(PreemptionMode.NP), make_policy("FCFS")
+            self.sim_config(PreemptionMode.NP), make_policy("PREMA")
         ).run(tasks)
-        # Task 1 waits the whole 50 periods of task 0 behind it.
+        # Task 1 earns tokens over the whole 50 periods of task 0.
         assert result.events_by_kind["PERIOD"] >= 50
+
+    @pytest.mark.parametrize("policy", ["FCFS", "HPF", "SJF"])
+    def test_token_free_waiting_rows_skip_their_ticks(self, policy):
+        """Under NP with a task running, a tick could only repeat the
+        wake's answer: no token policy, so no tick is processed."""
+        tasks = [lone_task(), lone_task(10 * PERIOD, task_id=1)]
+        result = NPUSimulator(
+            self.sim_config(PreemptionMode.NP), make_policy(policy)
+        ).run(tasks)
+        assert result.events_by_kind["PERIOD"] == 0
+        assert result.task_by_id(1).first_dispatch_time == 50 * PERIOD
+
+    def test_drain_verdict_keeps_ticking(self):
+        """Dynamic HPF counts one DRAIN decision per tick while a nearly
+        done low-priority task keeps a long high-priority one waiting."""
+        def tasks():
+            return [
+                synthetic_runtime(
+                    TaskSpec(task_id=0, benchmark="syn0", batch=1,
+                             priority=Priority.LOW, arrival_cycles=0.0),
+                    50 * PERIOD,
+                ),
+                synthetic_runtime(
+                    TaskSpec(task_id=1, benchmark="syn1", batch=1,
+                             priority=Priority.HIGH,
+                             arrival_cycles=40.5 * PERIOD),
+                    100 * PERIOD,
+                ),
+            ]
+
+        config = self.sim_config(PreemptionMode.DYNAMIC)
+        lazy = DeviceSim(config, make_policy("HPF"))
+        eager = DeviceSim(config, make_policy("HPF"))
+        eager.poll_ticks(True, 0.0, False)
+        for sim in (lazy, eager):
+            for task in tasks():
+                sim.inject(task)
+        lazy_result, eager_result = drain(lazy), drain(eager)
+        # One verdict at the arrival, then one per tick until task 0 ends.
+        assert lazy_result.drain_decisions >= 10
+        assert lazy_result.drain_decisions == eager_result.drain_decisions
+        assert lazy_result.preemption_count == 0
+        assert lazy_result.events_by_kind["PERIOD"] >= 9
+        assert helpers_golden._encode_result(
+            lazy_result
+        ) == helpers_golden._encode_result(eager_result)
 
     def test_stop_accepting_queues_the_next_grid_tick(self):
         sim = DeviceSim(self.sim_config(), make_policy("PREMA"))
@@ -265,20 +311,15 @@ class TestLazyPeriodClock:
         assert sim.next_event_time() == due
 
     @pytest.mark.parametrize(
-        "policy,mode,mechanism",
-        [
-            ("PREMA", PreemptionMode.DYNAMIC, "CHECKPOINT"),
-            ("TOKEN", PreemptionMode.STATIC, "KILL"),
-            ("HPF", PreemptionMode.STATIC, "CHECKPOINT"),
-            ("FCFS", PreemptionMode.NP, "CHECKPOINT"),
-        ],
+        "mode,mechanism", helpers_golden.MODE_MECHANISMS
     )
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_ticking_every_period_changes_no_schedule(
         self, policy, mode, mechanism
     ):
         """A device polled on every grid point (the eager clock) and a
         lazy one produce bit-identical schedules."""
-        config = self.sim_config(mode, mechanism)
+        config = self.sim_config(PreemptionMode(mode), mechanism)
         lazy = DeviceSim(config, make_policy(policy))
         eager = DeviceSim(config, make_policy(policy))
         eager.poll_ticks(True, 0.0, False)
