@@ -5,6 +5,14 @@ The policy core is deliberately simulator-agnostic: it operates on a
 id.  The event-driven simulator (``repro.sched.simulator``) owns time and
 invokes the core on the three wake conditions of Sec V-C: task dispatch,
 task completion, and scheduling-period expiry.
+
+Algorithm 2's periodic grants (lines 5-8) are not applied eagerly at
+every period tick.  :func:`replay_grants` applies the grants one row is
+owed, grid point by grid point, when something reads the row, and
+:func:`next_crossing` predicts the grid point at which the row's count
+first clears its next priority token level -- the only grants a
+scheduling decision can observe (it reads counts through the threshold
+grid alone).
 """
 
 from __future__ import annotations
@@ -13,7 +21,15 @@ import dataclasses
 from typing import Optional, Sequence
 
 from repro.core.context import ContextTable, TaskContext
-from repro.core.tokens import candidate_threshold, token_increment
+from repro.core.tokens import PRIORITY_TOKENS, candidate_threshold
+
+#: Grid points :func:`next_crossing` walks before it returns a re-check
+#: point instead of a crossing.  A re-check tick costs about as much as
+#: a few hundred walked points, while a row dispatched before its
+#: crossing makes every point walked past its dispatch wasted work; the
+#: cap also ends the walk for estimates so long that each grant rounds
+#: to nothing.
+MAX_CROSSING_WALK = 1 << 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,24 +44,95 @@ class SchedulerConfig:
             raise ValueError("period_cycles must be positive")
 
 
+# ----------------------------------------------------------------------
+# Line 5-8: periodic token grants, replayed per row
+# ----------------------------------------------------------------------
+def replay_grants(
+    row: TaskContext,
+    grant_at: float,
+    until: float,
+    period: float,
+    inclusive: bool = False,
+) -> float:
+    """Apply the period grants a READY ``row`` is owed before ``until``.
+
+    ``grant_at`` is the first grid point the row has not been granted
+    at; the grid advances by repeated ``+= period``, exactly like the
+    simulator's period clock, so every point is the float a period tick
+    fires at.  At each point before ``until`` (and at ``until`` itself
+    when ``inclusive``) the row gets what that tick gives it: its wait
+    settles to the point (``accrue_wait``), then -- unless its estimate
+    is not positive -- it earns ``PRIORITY_TOKENS[priority] *
+    (waited_since_grant / estimated_cycles)`` (``token_increment``) and
+    its grant clock resets (``grant_tokens``).  The IEEE-754 operations
+    are the eager tick's, in its order, so the row ends bit-identical to
+    one granted at every tick.  Returns the next ungranted grid point.
+    """
+    point = grant_at
+    if point > until or (point == until and not inclusive):
+        return point
+    rate = PRIORITY_TOKENS[row.priority]
+    estimate = row.estimated_cycles
+    tokens = row.tokens
+    waited = row.waited_cycles
+    since_grant = row.waited_since_grant
+    last = row.last_update_cycles
+    while point < until or (inclusive and point == until):
+        delta = point - last
+        if delta > 0:
+            waited += delta
+            since_grant += delta
+            last = point
+        if estimate > 0:
+            tokens += rate * (since_grant / estimate)
+            since_grant = 0.0
+        point += period
+    row.tokens = tokens
+    row.waited_cycles = waited
+    row.waited_since_grant = since_grant
+    row.last_update_cycles = last
+    return point
+
+
+def next_crossing(
+    row: TaskContext, grant_at: float, period: float, level: float
+) -> Optional[float]:
+    """First grid point from ``grant_at`` whose grant lifts ``row`` over
+    ``level`` (None when the row earns no grants).
+
+    Runs :func:`replay_grants`' loop on local copies, assuming the row
+    stays READY and untouched until then.  After
+    :data:`MAX_CROSSING_WALK` points without a crossing it returns the
+    first point it did not examine: a re-check point, where the caller
+    replays and asks again.
+    """
+    estimate = row.estimated_cycles
+    if estimate <= 0:
+        return None
+    rate = PRIORITY_TOKENS[row.priority]
+    tokens = row.tokens
+    since_grant = row.waited_since_grant
+    last = row.last_update_cycles
+    point = grant_at
+    for _ in range(MAX_CROSSING_WALK):
+        delta = point - last
+        if delta > 0:
+            since_grant += delta
+            last = point
+        tokens += rate * (since_grant / estimate)
+        since_grant = 0.0
+        if tokens > level:
+            return point
+        point += period
+    return point
+
+
 class PremaPolicyCore:
-    """Algorithm 2: token grants, candidate filtering, shortest-job pick."""
+    """Algorithm 2: candidate filtering and the shortest-job pick (the
+    token grants of lines 5-8 are :func:`replay_grants`)."""
 
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
         self.config = config or SchedulerConfig()
-
-    # ------------------------------------------------------------------
-    # Line 5-8: periodic token grants
-    # ------------------------------------------------------------------
-    def grant_periodic_tokens(self, table: ContextTable) -> None:
-        """Grant tokens to every ready task per its accrued slowdown."""
-        for row in table.ready():
-            if row.estimated_cycles <= 0:
-                continue
-            grant = token_increment(
-                row.priority, row.waited_since_grant, row.estimated_cycles
-            )
-            row.grant_tokens(grant)
 
     # ------------------------------------------------------------------
     # Line 9-10: candidate group and final selection

@@ -114,9 +114,12 @@ class ClusterTokenLedger:
     derived from ``max(local ready max, ledger max)``.
 
     Values are **lazily settled**: a row's entry reflects its token count
-    as of the owning device's last settlement point (period re-rank,
-    dispatch, requeue, or migration), exactly the staleness the
-    single-device lazy accounting already accepts.  Entries are keyed by
+    as of the owning device's last read of the row (admission, requeue,
+    the period tick where its grants cross a token level, or
+    migration).  The devices replay period grants per row on demand, so
+    an entry may lag the grid, but never by a token level: the bucket of
+    :meth:`ready_max_tokens` -- all a candidate threshold reads -- is
+    the bucket of the true maximum at every step.  Entries are keyed by
     task id; a task is *active* while it sits in some device's ready
     queue (or is mid-migration between two of them).
 

@@ -1125,6 +1125,11 @@ class _ChurnRuntime:
         progress = True
         while progress:
             progress = False
+            # value() reads exact token counts: settle the grants first.
+            # Churn items sort before a same-time tick, and after_step
+            # evacuates the stepped device itself, so the device's own
+            # event order decides a tick at exactly ``now``.
+            src.settle_grants(now)
             candidates = src.stealable_tasks()
             candidates += src.migratable_preempted_tasks(now)
             for task in sorted(candidates, key=value, reverse=True):
@@ -1896,7 +1901,7 @@ class ClusterScheduler:
                 migrations.extend(
                     self._migrate(
                         devices, now, assignments, fabric, inflight, ledger,
-                        indexes,
+                        indexes, (now, device_key[1], device_index),
                     )
                 )
 
@@ -2563,7 +2568,7 @@ class ClusterScheduler:
                 migrations.extend(
                     self._migrate(
                         devices, now, assignments, fabric, inflight, ledger,
-                        indexes,
+                        indexes, (now, device_key[1], device_index),
                     )
                 )
 
@@ -3092,16 +3097,19 @@ class ClusterScheduler:
         inflight: Dict[int, List[Tuple[float, float, int]]],
         ledger: Optional[ClusterTokenLedger],
         indexes: Optional[_ClusterIndexes] = None,
+        event: Optional[Tuple[float, int, int]] = None,
     ) -> List[MigrationRecord]:
         """Profiling shim over :meth:`_migrate_moves` ("migrate")."""
         profiler = self.profiler
         if profiler is None:
             return self._migrate_moves(
-                devices, now, assignments, fabric, inflight, ledger, indexes
+                devices, now, assignments, fabric, inflight, ledger, indexes,
+                event,
             )
         start_ns = time.perf_counter_ns()
         moves = self._migrate_moves(
-            devices, now, assignments, fabric, inflight, ledger, indexes
+            devices, now, assignments, fabric, inflight, ledger, indexes,
+            event,
         )
         profiler.add("migrate", time.perf_counter_ns() - start_ns)
         return moves
@@ -3115,6 +3123,7 @@ class ClusterScheduler:
         inflight: Dict[int, List[Tuple[float, float, int]]],
         ledger: Optional[ClusterTokenLedger],
         indexes: Optional[_ClusterIndexes] = None,
+        event: Optional[Tuple[float, int, int]] = None,
     ) -> List[MigrationRecord]:
         """Pull the most starved migratable task to each idle device.
 
@@ -3144,9 +3153,16 @@ class ClusterScheduler:
         uplink-cost threshold -- the oversubscribed tier already makes
         ``delivery`` later, and the threshold keeps marginal wins from
         flooding the uplink.
+
+        The key reads exact token counts, so each source settles its
+        rows' period grants first; ``event`` is the (time, kind-rank,
+        device) of the device event just handled, which decides whether
+        a source's tick at exactly ``now`` precedes this pass (the rule
+        :meth:`_poll_migration` uses).
         """
         moves: List[MigrationRecord] = []
         rack_of = self.rack_of
+        period_rank = int(_EventKind.PERIOD)
         if indexes is not None:
             if indexes.verify:
                 indexes.verify_candidate_sets(now)
@@ -3171,10 +3187,12 @@ class ClusterScheduler:
             best_key: Optional[Tuple[float, float, float, int]] = None
             best_source: Optional[int] = None
             best_payload = 0.0
+            best_passed = False
             remote: Optional[TaskRuntime] = None
             remote_key: Optional[Tuple[float, float, float, int]] = None
             remote_source: Optional[int] = None
             remote_payload = 0.0
+            remote_passed = False
             sources: Sequence[int] = (
                 indexes.source_candidates.ordered()
                 if indexes is not None
@@ -3188,6 +3206,8 @@ class ClusterScheduler:
                 candidates += device.migratable_preempted_tasks(now)
                 if not candidates:
                     continue
+                passed = event is not None and (now, period_rank, index) < event
+                device.settle_grants(now, passed)
                 local = (
                     rack_of is None
                     or rack_of[index] == rack_of[thief_index]
@@ -3218,6 +3238,7 @@ class ClusterScheduler:
                         if best_key is None or key > best_key:
                             best, best_key = task, key
                             best_source, best_payload = index, payload
+                            best_passed = passed
                     else:
                         gap = home_wait - (delivery - now)
                         if gap < self.cross_rack_threshold:
@@ -3225,16 +3246,18 @@ class ClusterScheduler:
                         if remote_key is None or key > remote_key:
                             remote, remote_key = task, key
                             remote_source, remote_payload = index, payload
+                            remote_passed = passed
             if best is None and remote is not None:
                 best, best_key = remote, remote_key
                 best_source, best_payload = remote_source, remote_payload
+                best_passed = remote_passed
             if best is None or best_source is None:
                 continue
             source = devices[best_source]
             # "checkpoint" means saved state actually moved; a migrated
             # KILL victim restarts from scratch and ships only the row.
             ships_checkpoint = best.checkpoint_bytes_resident > 0
-            task = source.remove_task(best.task_id, now)
+            task = source.remove_task(best.task_id, now, best_passed)
             record = fabric.transfer(
                 best_source, thief_index, best_payload, now,
                 task_id=task.task_id,

@@ -29,10 +29,12 @@ Two selection surfaces exist:
   priority structures** (lazy-deletion heaps; token policies bucket rows
   by the Algorithm-2 candidate threshold grid), updated through the
   lifecycle hooks (``on_admit``/``on_dispatch``/``on_requeue``/
-  ``on_remove``).  At a period re-rank (``on_period``) every ready row's
-  token count may rise, but only the rows that crossed a priority token
-  level change bucket, so only those move.  Every selection rule ranks
-  by a strict total order (ties break on task id), so the structures
+  ``on_remove``).  Token counts rise only through period grants, which
+  the simulator replays per row where they are read; a rise changes a
+  row's bucket only when it crosses a priority token level, and the
+  simulator reports a row (``on_tokens_raised``) at the period tick
+  where it is predicted to cross, so only crossers move.  Every
+  selection rule ranks by a strict total order (ties break on task id), so the structures
   return exactly the row the reference scan returns -- they change the
   cost of a wake from O(ready) to O(log ready), never the decision.
 """
@@ -61,10 +63,13 @@ class Policy:
     name: str = "abstract"
     #: Does the policy read Time_estimated (Algorithm 1 output)?
     uses_predictor: bool = False
-    #: Does the policy maintain tokens on period ticks?
+    #: Does the policy earn tokens on period ticks (Algorithm 2 lines
+    #: 5-8)?  The simulator then replays each ready row's grants and
+    #: reports level crossings through ``on_tokens_raised``.
     uses_tokens: bool = False
     #: Does a refused preemption (``outranks_running`` False) stay refused
-    #: until the next simulator event?  True when neither selection nor
+    #: until the next simulator event (or, for the token policies, the
+    #: next token-level crossing)?  True when neither selection nor
     #: ranking reads the time or moves policy state; the simulator then
     #: skips the period ticks that could only repeat the refusal.
     stable_refusals: bool = False
@@ -73,7 +78,18 @@ class Policy:
     _ledger: Optional[ClusterTokenLedger] = None
 
     def on_period(self, table: ContextTable) -> None:
-        """Hook invoked at each scheduling-period tick."""
+        """Per-tick hook; no policy implements it and the simulator no
+        longer calls it (token grants are replayed per row where they
+        are read, see :class:`~repro.sched.simulator.DeviceSim`).  It
+        stays because the benchmark's layer tracer
+        (``perfbench/layers.py``) wraps it on every policy class."""
+
+    def on_tokens_raised(
+        self, rows: Sequence[TaskContext], table: ContextTable
+    ) -> None:
+        """Hook: ``rows`` (READY rows of ``table``) just had period
+        grants replayed at a tick where each may have crossed its next
+        priority token level (token policies only)."""
 
     def on_admit(self, context: TaskContext, now: float) -> None:
         """Hook: ``context`` joined this device's table (READY).
@@ -223,8 +239,10 @@ class _TokenBuckets:
     stands in for the maximum row, and the candidate group ("tokens above
     the dynamic threshold") is exactly the union of the buckets at or
     above it: selection inspects at most ``NUM_CANDIDATE_BUCKETS`` heap
-    tops.  Token counts only move at period grants, which only raise
-    them; :meth:`regrade` then moves just the rows that crossed a level.
+    tops.  Token counts only move through period grants, which only raise
+    them; :meth:`regrade` moves the rows whose grants crossed a level.
+    Between crossings a row may hold a count granted less recently than
+    the grid, but never one in a different bucket.
     """
 
     __slots__ = ("_select_key", "_buckets", "_resident", "_bucket_of")
@@ -266,23 +284,24 @@ class _TokenBuckets:
         for row in rows:
             self.add(row)
 
-    def regrade(self, rows: Sequence[TaskContext]) -> None:
+    def regrade(self, rows: Sequence[TaskContext]) -> bool:
         """Re-bucket ``rows`` after a token grant, in place.
 
         Grants only raise counts and the selection keys do not move while
         a row is ready, so a row changes heap only when its count crossed
-        the next priority token level.  A row the structure does not hold
-        (a hookless table change) falls back to :meth:`rebuild`.
+        the next priority token level.  Returns False, having moved
+        nothing, when some row is not held (a hookless table change the
+        caller must :meth:`rebuild` from).
         """
         bucket_of = self._bucket_of
+        if any(row.task_id not in bucket_of for row in rows):
+            return False
         for row in rows:
-            bucket = bucket_of.get(row.task_id)
-            if bucket is None:
-                self.rebuild(rows)
-                return
+            bucket = bucket_of[row.task_id]
             if bucket < len(TOKEN_LEVELS) and row.tokens > TOKEN_LEVELS[bucket]:
                 self._buckets[bucket].discard(row.task_id)
                 self.add(row)
+        return True
 
     def top_bucket(self) -> int:
         """Bucket of the maximum token count (-1 when empty)."""
@@ -400,10 +419,18 @@ class _IncrementalReadyPolicy(Policy):
 
 
 class _TokenBucketPolicy(_IncrementalReadyPolicy):
-    """Period and threshold plumbing shared by the token policies.
+    """Token-level and threshold plumbing shared by the token policies.
 
     Subclasses supply the selection key of their buckets and the
     reference ``select``/``outranks``.
+
+    Decisions read token counts only through the threshold grid, so
+    between two level crossings, with no row joining or leaving, neither
+    the candidate nor the threshold moves, and a refused preemption
+    stays refused (the running task's
+    remaining estimate only shrinks): refusals are time-stable.  With a
+    cluster ledger they are not -- a remote crossing or dispatch can move
+    the external maximum at any tick.
     """
 
     uses_predictor = True
@@ -422,22 +449,26 @@ class _TokenBucketPolicy(_IncrementalReadyPolicy):
     def _structure(self):
         return self._buckets
 
+    @property
+    def stable_refusals(self) -> bool:  # type: ignore[override]
+        return self._ledger is None
+
     def _external_max(self) -> float:
         """The cluster ledger's maximum token count (0.0 without one)."""
         return self._ledger.ready_max_tokens() if self._ledger is not None else 0.0
 
-    def on_period(self, table: ContextTable) -> None:
-        self.core.grant_periodic_tokens(table)
-        # Grants may lift rows over a token level: re-bucket those in
-        # place.  Period ticks are also the settlement point where the
-        # cluster ledger learns the new counts.
-        ready = table.ready()
-        if len(self._buckets) != len(ready):
-            self._buckets.rebuild(ready)
-        else:
-            self._buckets.regrade(ready)
+    def on_tokens_raised(
+        self, rows: Sequence[TaskContext], table: ContextTable
+    ) -> None:
+        # Re-bucket the crossers in place; a level crossing is also where
+        # the cluster ledger learns a row's count (its entries may lag
+        # the grid, but never by a level).
+        if len(self._buckets) != table.ready_count or not (
+            self._buckets.regrade(rows)
+        ):
+            self._buckets.rebuild(table.ready())
         if self._ledger is not None:
-            for row in ready:
+            for row in rows:
                 self._ledger.activate(row.task_id, row.tokens)
 
     def select_ready(self, table: ContextTable) -> Optional[TaskContext]:

@@ -25,16 +25,18 @@ per device, :mod:`repro.workloads.trace`) tractable:
 - the predicted backlog iterates an admission-ordered live-task set, so
   completed tasks stop costing anything;
 - waiting/token accounting settles lazily from ``last_update_cycles`` at
-  its read points (token grants at period ticks, dispatch, migration)
-  instead of walking the ready queue at every wake;
+  its read points (dispatch, migration, failure) instead of walking the
+  ready queue at every wake; the token policies' period grants are
+  replayed per row at those read points, grid point by grid point, so
+  a period tick grants only the rows whose grant crosses a token level;
 - ready-queue selection goes through the policies' incremental priority
   structures (:mod:`repro.sched.policies`) and the context table's
   incremental ready index;
 - the scheduling-period grid is virtual: a PERIOD event is queued only
   while a tick can change something (see :class:`DeviceSim`), so a
   device whose ready queue is empty, or whose waiting rows a tick could
-  neither grant tokens nor re-rank against the running task, does not
-  pay for the ticks that would only re-arm themselves.
+  neither lift over a token level nor re-rank against the running task,
+  does not pay for the ticks that would only re-arm themselves.
 
 Preemption modes:
 
@@ -58,7 +60,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import ContextTable, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
-from repro.core.scheduler import SchedulerConfig
+from repro.core.scheduler import SchedulerConfig, next_crossing, replay_grants
+from repro.core.tokens import TOKEN_LEVELS, candidate_bucket
 from repro.npu.config import NPUConfig
 from repro.npu.preemption import (
     CheckpointMechanism,
@@ -106,6 +109,7 @@ class _EventKind(enum.IntEnum):
 # Per-event aliases: looking a member up on the Enum class costs a
 # descriptor call, measurable on the one-call-per-event path.
 _COMPLETE, _ARRIVAL, _PERIOD, _DISPATCH = _EventKind
+_PERIOD_RANK = int(_PERIOD)
 
 
 class DeviceTaskState(enum.Enum):
@@ -187,9 +191,11 @@ class DeviceSim:
     :meth:`force_checkpoint` and :meth:`poll_ticks`) the device queues a
     PERIOD event only when a tick can matter:
 
-    - a row is READY and either the policy's state moves on ticks (the
-      token policies grant tokens) or the last wake did not end in a
-      *time-stable* outcome (see below);
+    - a row is READY and the last wake did not end in a *time-stable*
+      outcome (see below);
+    - a row is READY and the tick is the first at which some row's
+      token grants cross a priority token level (token policies; see
+      "Token grants on demand" below);
     - the device has drained (the tick that disarms and re-anchors the
       grid must fire at its exact time);
     - the device stopped accepting work (churn WARNED/DRAINING): the
@@ -200,29 +206,52 @@ class DeviceSim:
       whether a move pays off depends on the time of the check.
 
     A wake outcome is time-stable when repeating the wake at any later
-    tick, with no event in between, must give the same answer and change
-    no state: NP mode with a task running (the wake returns at once), or
-    a refused preemption under a policy whose refusals hold until the
-    next event (:attr:`Policy.stable_refusals`: FCFS, HPF and SJF, whose
-    keys do not depend on time -- under SJF the running task's remaining
-    estimate only shrinks).  A DRAIN verdict is not stable (DYNAMIC mode
+    tick, with no event or level crossing in between, must give the same
+    answer and change no state: NP mode with a task running (the wake
+    returns at once), or a refused preemption under a policy whose
+    refusals hold until then (:attr:`Policy.stable_refusals`: FCFS, HPF
+    and SJF, whose keys do not depend on time -- under SJF the running
+    task's remaining estimate only shrinks -- and TOKEN and PREMA on a
+    device without a cluster ledger, which read counts only through the
+    token levels).  A DRAIN verdict is not stable (DYNAMIC mode
     counts one drain decision per tick), nor is a wake that returned
     early on a reserved NPU, nor any step that ran no wake (a DISPATCH
     starts the reserved task without one, so a candidate that arrived
     during the trap is first checked at the next tick), and
-    :meth:`force_checkpoint` unsettles the device too.  RRB's
+    :meth:`force_checkpoint` unsettles the device too, as does
+    :meth:`remove_task` under a token policy (the removed row may have
+    held the top token bucket, so the threshold can drop).  RRB's
     preemptive-mode wakes advance its rotation cursor, so its refusals
-    are not stable either.  Only the token policies settle waits at a
-    tick, so the other policies' wait sums do not depend on which ticks
-    fired either.
+    are not stable either.
 
     Skipped grid points are caught up by the same repeated addition, so
     every queued tick lands on the float the eager clock would have
     produced and schedules are bit-identical to ticking every period.
     A point before the current event is past; a point *at* it is past
-    only when the current event sorts after PERIOD (a DISPATCH).  The
-    PERIOD count in :attr:`events_by_kind` therefore shrinks while
-    us/event grows: the skipped ticks were the cheapest events.
+    only when the current event sorts after PERIOD (a PERIOD or a
+    DISPATCH).  The PERIOD count in :attr:`events_by_kind` therefore
+    shrinks while us/event grows: the skipped ticks were the cheapest
+    events.  A queued tick may be superseded by an earlier one (a
+    crossing tick, when a wake stops being stable); the superseded
+    event is dropped unseen, so at most one PERIOD is live.
+
+    **Token grants on demand.**  Algorithm 2 grants every waiting row
+    tokens at every tick, but decisions read counts only through the
+    token levels.  So no tick grants eagerly: each READY row remembers
+    the first grid point it has not been granted at, and
+    :func:`~repro.core.scheduler.replay_grants` applies the owed grants
+    -- the tick's own ``accrue_wait`` and grant, point by point, in
+    order -- where the row is read: at dispatch, :meth:`remove_task`,
+    :meth:`fail`, :meth:`settle_grants` (the cluster's token-ordered
+    evacuation and migration choices), and the tick at which
+    :func:`~repro.core.scheduler.next_crossing` predicted the row to
+    cross its next level.  That tick replays and re-buckets only the
+    crossers (:meth:`Policy.on_tokens_raised`).  Between crossings a row
+    holds a count that lags the grid but never by a level, so every
+    decision, and every cluster ledger maximum, is the eager one; rows
+    end bit-identical to eagerly granted ones, tokens and waits alike.
+    The other policies settle waits only at dispatch or migration, so
+    their wait sums do not depend on which ticks fired either.
     """
 
     def __init__(
@@ -261,8 +290,19 @@ class DeviceSim:
         self._next_period = 0.0
         self._period_queued = False
         self._period_polled = False
+        #: Sequence number and time of the live queued PERIOD event
+        #: (superseded PERIOD events are dropped when they surface).
+        self._period_seq = -1
+        self._period_due = 0.0
         #: The last wake ended in a time-stable outcome (class docstring).
         self._wake_settled = False
+        #: Token grants on demand (class docstring): each READY row's
+        #: first ungranted grid point, its predicted level crossing, and
+        #: a lazy-deletion min-heap of (crossing, task id).
+        self._grants = policy.uses_tokens
+        self._grant_at: Dict[int, float] = {}
+        self._crossing_at: Dict[int, float] = {}
+        self._crossings: List[Tuple[float, int]] = []
         self._preemption_count = 0
         self._drain_decisions = 0
         self._completed = 0
@@ -379,7 +419,12 @@ class DeviceSim:
         """Process exactly one pending event; returns its timestamp."""
         if not self._events:
             raise RuntimeError("no pending events")
-        now, rank, _, kind, payload = heapq.heappop(self._events)
+        events = self._events
+        now, rank, _, kind, payload = heapq.heappop(events)
+        while events and events[0][1] == _PERIOD_RANK and (
+            events[0][2] != self._period_seq
+        ):
+            heapq.heappop(events)  # a superseded tick
         self._now = now
         self.last_event_kind = kind
         self.last_completed = None
@@ -393,40 +438,163 @@ class DeviceSim:
             self._on_period(now)
         elif kind is _DISPATCH:
             self._on_dispatch(now, payload)  # type: ignore[arg-type]
-        if self._period_armed and not self._period_queued:
+        if self._period_armed:
             self._queue_period(now, kind is _DISPATCH)
         self._notify_event_change()
         return now
 
     def _queue_period(self, now: float, passed_now: bool) -> None:
-        """Queue the next grid tick if one can matter (lazy period clock).
+        """Queue the next tick that can matter (lazy period clock).
 
-        Walks the grid past the points that fell due while no tick could
-        matter -- each would have fired as a no-op -- using the same
-        repeated addition as the eager clock, so the queued time is
-        bit-identical to the tick that clock would fire next.
-        ``passed_now`` says whether a point exactly at ``now`` already
-        fired, i.e. whether the event being handled sorts after PERIOD.
+        That is the next grid point when every tick matters, else the
+        earliest predicted token-level crossing.  Walks the grid past
+        the points that fell due while no tick could matter -- each
+        would have fired as a no-op -- using the same repeated addition
+        as the eager clock, so the queued time is bit-identical to the
+        tick that clock would fire.  ``passed_now`` says whether a point
+        exactly at ``now`` already fired, i.e. whether the event being
+        handled sorts after PERIOD.  A queued tick later than the one
+        needed is superseded, never duplicated.
         """
-        if not self._period_armed or self._period_queued:
+        if not self._period_armed or (
+            # The next grid point itself is queued: nothing is earlier.
+            self._period_queued and self._period_due == self._next_period
+        ):
             return
-        if not (
-            (
-                self._table.has_ready
-                and (self.policy.uses_tokens or not self._wake_settled)
-            )
+        has_ready = self._table.has_ready
+        if (
+            (has_ready and not self._wake_settled)
             or self._period_polled
             or not self.accepts_work
             or self._completed == len(self._runtimes)
         ):
+            due = self._grid_point(now, passed_now)
+        elif has_ready and self._crossing_at:
+            due = self._next_crossing()
+        else:
             return
+        if self._period_queued and self._period_due <= due:
+            return
+        seq = next(self._counter)
+        heapq.heappush(self._events, (due, _PERIOD_RANK, seq, _PERIOD, None))
+        self._period_seq = seq
+        self._period_due = due
+        self._period_queued = True
+
+    def _grid_point(self, now: float, passed_now: bool) -> float:
+        """The first grid point not yet passed at ``now`` (advances the
+        clock's next point to it by repeated addition)."""
         period = self.config.scheduler.period_cycles
         due = self._next_period
         while due < now or (passed_now and due == now):
             due += period
         self._next_period = due
-        self._period_queued = True
-        self._push(due, _PERIOD, None)
+        return due
+
+    def _tick_passed(self, now: float, passed_now: bool = False) -> bool:
+        """Has the tick at exactly ``now`` (if the grid has one) fired?
+
+        True when the caller says so (a cluster item sorting after this
+        device's tick) or when the device's last event was at ``now``
+        and sorts at or after PERIOD.
+        """
+        kind = self.last_event_kind
+        return passed_now or (
+            now == self._now and kind is not None and kind >= _PERIOD
+        )
+
+    # ------------------------------------------------------------------
+    # Token grants on demand (token policies)
+    # ------------------------------------------------------------------
+    def _track(self, row, now: float) -> None:
+        """Start replaying grants for ``row``, READY from ``now`` on, and
+        predict its first level crossing."""
+        point = self._grid_point(now, self._tick_passed(now))
+        self._grant_at[row.task_id] = point
+        self._predict(row, point)
+
+    def _release(self, row, now: float, passed: bool) -> None:
+        """Settle the grants ``row`` is owed as it leaves the ready queue
+        at ``now``, and stop tracking it (untracked rows: no-op)."""
+        point = self._grant_at.pop(row.task_id, None)
+        if point is not None:
+            replay_grants(
+                row, point, now, self.config.scheduler.period_cycles, passed
+            )
+            self._crossing_at.pop(row.task_id, None)
+
+    def _predict(self, row, point: float) -> None:
+        """Record the grid point where ``row`` crosses its next level."""
+        bucket = candidate_bucket(row.tokens)
+        if bucket >= len(TOKEN_LEVELS):
+            return
+        crossing = next_crossing(
+            row, point, self.config.scheduler.period_cycles,
+            TOKEN_LEVELS[bucket],
+        )
+        if crossing is None:
+            return
+        self._crossing_at[row.task_id] = crossing
+        heap = self._crossings
+        heapq.heappush(heap, (crossing, row.task_id))
+        if len(heap) > 64 and len(heap) > 2 * len(self._crossing_at):
+            heap[:] = [
+                (at, task_id) for task_id, at in self._crossing_at.items()
+            ]
+            heapq.heapify(heap)
+
+    def _next_crossing(self) -> float:
+        """The earliest live predicted crossing (``_crossing_at`` must be
+        non-empty)."""
+        heap = self._crossings
+        crossing_at = self._crossing_at
+        while True:
+            point, task_id = heap[0]
+            if crossing_at.get(task_id) == point:
+                return point
+            heapq.heappop(heap)
+
+    def _grant_crossers(self, now: float) -> None:
+        """The period tick at ``now``: replay the rows predicted to cross
+        a level here, re-bucket them, and predict their next crossing."""
+        heap = self._crossings
+        crossing_at = self._crossing_at
+        grant_at = self._grant_at
+        period = self.config.scheduler.period_cycles
+        crossers = []
+        while heap and heap[0][0] <= now:
+            point, task_id = heapq.heappop(heap)
+            if crossing_at.get(task_id) != point:
+                continue
+            del crossing_at[task_id]
+            row = self._table[task_id]
+            grant_at[task_id] = replay_grants(
+                row, grant_at[task_id], now, period, True
+            )
+            crossers.append(row)
+        if crossers:
+            for row in crossers:
+                self._predict(row, grant_at[row.task_id])
+            self.policy.on_tokens_raised(crossers, self._table)
+
+    def settle_grants(self, now: float, passed_now: bool = False) -> None:
+        """Replay every ready row's period grants up to ``now``.
+
+        The read point for callers that rank this device's rows by their
+        exact token counts (cluster evacuation and migration choices).
+        ``passed_now`` says whether this device's tick at exactly
+        ``now`` precedes the caller's item in the global event order.
+        """
+        if not self._grant_at:
+            return
+        passed = self._tick_passed(now, passed_now)
+        table = self._table
+        period = self.config.scheduler.period_cycles
+        grant_at = self._grant_at
+        for task_id, point in grant_at.items():
+            grant_at[task_id] = replay_grants(
+                table[task_id], point, now, period, passed
+            )
 
     def stop_accepting(self, now: float) -> None:
         """Refuse new work from cycle ``now`` on (churn warning window).
@@ -702,12 +870,15 @@ class DeviceSim:
             and now >= self._checkpoint_durable_at.get(task_id, 0.0)
         ]
 
-    def remove_task(self, task_id: int, now: float) -> TaskRuntime:
+    def remove_task(
+        self, task_id: int, now: float, passed_now: bool = False
+    ) -> TaskRuntime:
         """Migrate a QUEUED or PREEMPTED task out of this device.
 
-        Waiting time is settled up to ``now`` first (the migration read
-        point of the lazy wait accounting), so tokens and wait earned on
-        this device travel with the context row to the new device;
+        Token grants and waiting time are settled up to ``now`` first
+        (the migration read point of the lazy accounting; ``passed_now``
+        as in :meth:`settle_grants`), so tokens and wait earned on this
+        device travel with the context row to the new device;
         preempted tasks additionally carry their retained progress,
         pending restore cost, and resident checkpoint bytes on the
         runtime.  Every other lifecycle state refuses explicitly --
@@ -722,6 +893,8 @@ class DeviceSim:
                 "(durably checkpointed) preempted tasks can migrate"
             )
         task = self._runtimes[task_id]
+        passed = self._tick_passed(now, passed_now)
+        self._release(task.context, now, passed)
         task.context.accrue_wait(now)
         self._table.remove(task_id)
         del self._runtimes[task_id]
@@ -731,6 +904,13 @@ class DeviceSim:
         del self._live_admitted[task_id]
         self._migrated_out.add(task_id)
         self.policy.on_remove(task.context, now)
+        if self._grants:
+            # The row may have held the top token bucket: the threshold
+            # can drop and widen the candidate group, so a refusal no
+            # longer holds and the next tick must wake.
+            self._wake_settled = False
+            self._queue_period(now, passed)
+            self._notify_event_change()
         return task
 
     def fail(self, now: float) -> List[TaskRuntime]:
@@ -755,6 +935,12 @@ class DeviceSim:
             # Pin the timeline through the failure instant before the
             # runtime forgets its dispatch.
             self._record_run_segments(running, now, interrupted=True)
+        if self._grants:
+            # Orphans keep their tokens: settle the grants they earned.
+            self.settle_grants(now)
+            self._grant_at.clear()
+            self._crossing_at.clear()
+            self._crossings.clear()
         orphans: List[TaskRuntime] = []
         for task_id in list(self._runtimes):
             task = self._runtimes[task_id]
@@ -778,6 +964,7 @@ class DeviceSim:
         self._npu_reserved_until = now
         self._period_armed = False
         self._period_queued = False
+        self._period_seq = -1
         self.accepts_work = False
         self._notify_event_change()
         if self.tracer.enabled:
@@ -859,6 +1046,8 @@ class DeviceSim:
             killed=False,
         )
         self.policy.on_requeue(running.context)
+        if self._grants:
+            self._track(running.context, now)
         self._preempted[running.task_id] = running
         self._checkpoint_durable_at[running.task_id] = free_at
         self._npu_reserved_until = free_at
@@ -867,9 +1056,7 @@ class DeviceSim:
         self._push(free_at, _EventKind.DISPATCH, None)
         # The victim is a new READY row: its ticks matter again.
         self._wake_settled = False
-        self._queue_period(
-            now, now == self._now and self.last_event_kind is _DISPATCH
-        )
+        self._queue_period(now, self._tick_passed(now))
         self._notify_event_change()
         return free_at, outcome.checkpoint_bytes
 
@@ -920,6 +1107,10 @@ class DeviceSim:
             self._period_armed = True
             self._next_period = now + self.config.scheduler.period_cycles
         self._wake(now)
+        if self._grants and task.context.state is TaskState.READY:
+            # Track only a row the wake left waiting: one dispatched at
+            # its arrival was owed no grant.
+            self._track(task.context, now)
 
     def _on_complete(self, now: float, payload: object) -> None:
         task_id, epoch = payload  # type: ignore[misc]
@@ -955,13 +1146,9 @@ class DeviceSim:
             self._next_period = now + self.config.scheduler.period_cycles
         else:
             self._period_armed = False
-        if self.policy.uses_tokens:
-            # Lazy settlement: token grants are the one tick-time *read*
-            # of waiting time, so only they settle the ready queue.  The
-            # other policies' rows settle at dispatch or migration, which
-            # keeps their wait sums independent of how many ticks fired.
-            self._accrue_ready(now)
-            self.policy.on_period(self._table)
+            self._crossings.clear()
+        if self._crossing_at:
+            self._grant_crossers(now)
         self._wake(now)
 
     def _on_dispatch(self, now: float, task_id: Optional[int]) -> None:
@@ -982,18 +1169,9 @@ class DeviceSim:
     # ------------------------------------------------------------------
     # Scheduler core
     # ------------------------------------------------------------------
-    def _accrue_ready(self, now: float) -> None:
-        """Settle waiting time for every ready row up to ``now``.
-
-        Called at read points only (token policies' period ticks);
-        between reads, idle waiters cost nothing -- ``accrue_wait``
-        integrates the whole span since each row's
-        ``last_update_cycles`` when it finally runs.
-        """
-        for row in self._table.ready():
-            row.accrue_wait(now)
-
     def _dispatch(self, now: float, task: TaskRuntime) -> int:
+        if self._grant_at:
+            self._release(task.context, now, self._tick_passed(now))
         completion = task.dispatch(now)
         self._queued.pop(task.task_id, None)
         self._preempted.pop(task.task_id, None)
@@ -1077,8 +1255,8 @@ class DeviceSim:
         if candidate_ctx is None:
             return
         running = self._runtimes[self._running_id]
-        # Token-driven policies re-rank on every period tick as waiting
-        # tasks earn tokens; the scheduling-period time-quota (Table II)
+        # Token-driven policies re-rank as waiting tasks earn tokens;
+        # the scheduling-period time-quota (Table II)
         # guarantees the running task at least one quota of service so
         # token drift cannot ping-pong the NPU between two tasks.
         if self.policy.uses_tokens and running.dispatch_time is not None:
@@ -1147,6 +1325,8 @@ class DeviceSim:
             killed=isinstance(mechanism, KillMechanism),
         )
         self.policy.on_requeue(running.context)
+        if self._grants:
+            self._track(running.context, now)
         # The victim is READY for accounting (it waits from the boundary
         # commit on) but its checkpoint is only durable once the trap DMA
         # finishes at ``free_at`` -- until then it is CHECKPOINTING in the

@@ -98,10 +98,10 @@ class TaskRuntime:
 
         The ``accrue_wait`` call below is the per-row settlement point of
         the simulator's lazy wait accounting: it integrates the whole
-        waiting span since ``context.last_update_cycles`` (arrival, last
-        period tick, or preemption re-queue -- whichever came last), so
-        the ready queue is never walked between wakes on this row's
-        behalf.
+        waiting span since ``context.last_update_cycles`` (arrival, the
+        last period grant the simulator replayed for this row, or
+        preemption re-queue -- whichever came last), so the ready queue
+        is never walked between wakes on this row's behalf.
         """
         if self.context.state == TaskState.RUNNING:
             raise RuntimeError(f"task {self.task_id} already running")

@@ -2,12 +2,14 @@
 
 Usage::
 
-    PYTHONPATH=src python tests/capture_cluster_goldens.py [--combo]
+    PYTHONPATH=src python tests/capture_cluster_goldens.py [--combo | --tokens]
 
 The committed golden pins every routing policy -- checkpoint migration
 included -- on 2/4/8-device clusters with rotating device schedulers.
 ``--combo`` instead writes the feature-combination golden (migration,
-proactive churn, admission and sharded batching on one 4-device fleet).
+proactive churn, admission and sharded batching on one 4-device fleet);
+``--tokens`` writes the token-read golden (PREMA/TOKEN rows whose exact
+token counts order evacuations and migrations).
 Regenerating either is only justified alongside an intentional,
 documented behavioral change.
 """
@@ -27,6 +29,11 @@ def main() -> None:
         payload = helpers_golden.capture_combo()
         path = helpers_golden.write_cluster_goldens(
             payload, helpers_golden.COMBO_GOLDEN_PATH
+        )
+    elif "--tokens" in sys.argv[1:]:
+        payload = helpers_golden.capture_token_reads()
+        path = helpers_golden.write_cluster_goldens(
+            payload, helpers_golden.TOKEN_GOLDEN_PATH
         )
     else:
         payload = helpers_golden.capture_cluster()

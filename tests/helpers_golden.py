@@ -61,6 +61,9 @@ CLUSTER_GOLDEN_PATH = (
 COMBO_GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "golden_cluster_combo.json.gz"
 )
+TOKEN_GOLDEN_PATH = (
+    pathlib.Path(__file__).parent / "data" / "golden_token_reads.json.gz"
+)
 
 SINGLE_SEED = 77
 CLUSTER_SEED = 78
@@ -406,6 +409,112 @@ def capture_combo() -> Dict[str, object]:
             "--combo)."
         ),
         "runs": dict(combo_runs()),
+    }
+
+
+# ----------------------------------------------------------------------
+# Token-read golden: the cluster paths that rank rows by their exact
+# token counts (evacuation order, migration choice) and the device
+# read points that settle tokens (dispatch, migration out, failure)
+# ----------------------------------------------------------------------
+TOKEN_DEVICES = 4
+TOKEN_NUM_TASKS = 300
+TOKEN_LOAD = 1.2
+TOKEN_POLICIES: Tuple[str, ...] = ("PREMA", "TOKEN")
+#: (case name, routing, churn on?).  ``global_tokens`` is off throughout:
+#: without the cluster ledger a token policy's ticks are the sparsest,
+#: so every token read must settle its rows on its own.
+TOKEN_CASES: Tuple[Tuple[str, RoutingPolicy, bool], ...] = (
+    ("online+churn", RoutingPolicy.ONLINE_PREDICTED, True),
+    ("stealing+churn", RoutingPolicy.WORK_STEALING, True),
+    ("migration", RoutingPolicy.PREEMPTIVE_MIGRATION, False),
+    ("migration+churn", RoutingPolicy.PREEMPTIVE_MIGRATION, True),
+)
+TOKEN_MODE_MECHANISMS: Tuple[Tuple[str, str], ...] = (
+    ("np", "CHECKPOINT"),
+    ("static", "CHECKPOINT"),
+    ("dynamic", "CHECKPOINT"),
+)
+
+
+def token_read_runs() -> Iterator[Tuple[str, object]]:
+    """PREMA and TOKEN on a bursty 4-device fleet at 1.2x load, under
+    the routings whose migrations read token counts, with fail-stop
+    faults, revocations and drains (proactive evacuation) when churn
+    is on.
+
+    Each run is pinned by a SHA-256 of its full :func:`_encode_cluster_v2`
+    record (plus ``lost``), accounting fields included: token grants are
+    replayed exactly, so nothing here is compared with tolerance.  The
+    makespan and migration/loss counts ride along to tell a diverged run
+    at a glance.
+    """
+    mean_service = 1.5e-3 * 700e6
+    for case_index, (case, routing, churn_on) in enumerate(TOKEN_CASES):
+        for mode_index, (mode, mechanism) in enumerate(TOKEN_MODE_MECHANISMS):
+            seed = case_index * len(TOKEN_MODE_MECHANISMS) + mode_index
+            for policy_name in TOKEN_POLICIES:
+                tasks = synthetic_trace_runtimes(
+                    TOKEN_NUM_TASKS,
+                    seed=seed,
+                    mean_interarrival_cycles=mean_service
+                    / (TOKEN_DEVICES * TOKEN_LOAD),
+                    bursty=True,
+                    qos_mix={"interactive": 0.3, "standard": 0.4, "batch": 0.3},
+                )
+                horizon = tasks[-1].spec.arrival_cycles
+                churn = None
+                if churn_on:
+                    churn = ChurnSchedule.generate(
+                        TOKEN_DEVICES,
+                        horizon_cycles=horizon,
+                        seed=seed,
+                        fault_rate=0.5 / horizon,
+                        revocation_rate=1.0 / horizon,
+                        drain_rate=0.5 / horizon,
+                        mean_outage_cycles=horizon / 8,
+                        mean_warning_cycles=2e6,
+                    )
+                config = ClusterConfig(
+                    policy_name=policy_name,
+                    routing=routing,
+                    seed=seed,
+                    global_tokens=False,
+                    churn=churn,
+                )
+                scheduler = ClusterScheduler(
+                    TOKEN_DEVICES,
+                    SimulationConfig(
+                        npu=NPUConfig(),
+                        mode=PreemptionMode(mode),
+                        mechanism=mechanism,
+                    ),
+                    config=config,
+                )
+                result = scheduler.run(tasks)
+                record = _encode_cluster_v2(result)
+                record["lost"] = sorted(t.task_id for t in result.lost_tasks)
+                text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+                yield f"tokens/{case}/{policy_name}/{mode}/{mechanism}", {
+                    "digest": hashlib.sha256(text.encode()).hexdigest(),
+                    "makespan": record["makespan"],
+                    "migrations": len(record["migrations"]),
+                    "lost": len(record["lost"]),
+                }
+
+
+def capture_token_reads() -> Dict[str, object]:
+    return {
+        "format": 1,
+        "note": (
+            "Token-read golden (PREMA/TOKEN under churn, work stealing and "
+            "preemptive migration without the cluster ledger): a digest of "
+            "every _encode_cluster_v2 field, tokens and waits included, "
+            "compared exactly.  Regenerate only alongside an intentional "
+            "behavioral change (python tests/capture_cluster_goldens.py "
+            "--tokens)."
+        ),
+        "runs": dict(token_read_runs()),
     }
 
 

@@ -156,3 +156,27 @@ def test_feature_combination_matches_golden():
         assert actual["migrations"], f"{key}: no migrations exercised"
         seen += 1
     assert seen == len(goldens) == len(helpers_golden.COMBO_CASES)
+
+
+def test_token_reads_match_golden():
+    """PREMA/TOKEN fleets whose migrations and evacuations rank rows by
+    their exact token counts, with failures settling orphans: every
+    field, tokens and waits included, must match bit for bit."""
+    path = helpers_golden.TOKEN_GOLDEN_PATH
+    assert path.exists(), (
+        "token-read golden missing; regenerate via: "
+        "python tests/capture_cluster_goldens.py --tokens"
+    )
+    goldens = helpers_golden.load_cluster_goldens(path)["runs"]
+    seen = 0
+    migrations = 0
+    for key, actual in helpers_golden.token_read_runs():
+        assert actual == goldens[key], key
+        migrations += actual["migrations"]
+        seen += 1
+    assert seen == len(goldens) == (
+        len(helpers_golden.TOKEN_POLICIES)
+        * len(helpers_golden.TOKEN_CASES)
+        * len(helpers_golden.TOKEN_MODE_MECHANISMS)
+    )
+    assert migrations > 0

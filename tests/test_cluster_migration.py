@@ -28,13 +28,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import ContextTable, TaskContext, TaskState
-from repro.core.tokens import ClusterTokenLedger, Priority
+from repro.core.scheduler import replay_grants
+from repro.core.tokens import (
+    ClusterTokenLedger,
+    Priority,
+    candidate_bucket,
+    token_increment,
+)
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import ClusterScheduler, RoutingPolicy
 from repro.sched.interconnect import CONTEXT_ROW_BYTES, InterconnectConfig
 from repro.sched.metrics import compute_cluster_metrics
 from repro.sched.policies import PremaPolicy, make_policy
 from repro.sched.simulator import (
+    _PERIOD,
     DeviceSim,
     DeviceTaskState,
     PreemptionMode,
@@ -430,9 +437,18 @@ def test_ledger_totals_match_reference_after_migration_sequences():
             table.add(row)
             policy.on_admit(row, now)
         elif op == "period" and len(table):
+            # One eager tick: every ready row settles and earns its
+            # grant, and all of them are reported to the policy (which
+            # then refreshes their ledger entries).
             for row in table.ready():
                 row.accrue_wait(now)
-            policy.on_period(table)
+                row.grant_tokens(
+                    token_increment(
+                        row.priority, row.waited_since_grant,
+                        row.estimated_cycles,
+                    )
+                )
+            policy.on_tokens_raised(table.ready(), table)
         elif op == "dispatch" and ready and running[device] is None:
             row = rng.choice(ready)
             row.accrue_wait(now)
@@ -473,3 +489,84 @@ def test_ledger_totals_match_reference_after_migration_sequences():
         total, maximum = active_reference()
         assert ledger.ready_total_tokens() == pytest.approx(total, rel=1e-9)
         assert ledger.ready_max_tokens() == pytest.approx(maximum, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["np", "dynamic"])
+def test_ledger_max_bucket_is_the_true_maximum_bucket_after_every_step(
+    monkeypatch, mode
+):
+    """Token grants are replayed on demand, so ledger entries refresh
+    only at level crossings and read points and may lag the grid -- but
+    never by a level: after every device step the ledger maximum falls
+    in the bucket of the true maximum, recomputed by replaying every
+    active row's grants up to the step."""
+    devices = []
+    original_init = DeviceSim.__init__
+    original_step = DeviceSim.step
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        devices.append(self)
+
+    checked = {"steps": 0, "lagging": 0}
+
+    def step(self):
+        now = original_step(self)
+        event = (now, int(self.last_event_kind), self.device_id)
+        ledger = self.policy._ledger
+        period = self.config.scheduler.period_cycles
+        exact = {}
+        for device in devices:
+            passed = device._tick_passed(
+                now, (now, int(_PERIOD), device.device_id) < event
+            )
+            for row in device._table.ready():
+                copy = TaskContext(
+                    task_id=row.task_id,
+                    priority=row.priority,
+                    tokens=row.tokens,
+                    waited_cycles=row.waited_cycles,
+                    waited_since_grant=row.waited_since_grant,
+                    estimated_cycles=row.estimated_cycles,
+                    last_update_cycles=row.last_update_cycles,
+                )
+                replay_grants(
+                    copy, device._grant_at[row.task_id], now, period, passed
+                )
+                exact[row.task_id] = copy.tokens
+        entries = ledger.snapshot()
+        # Rows in flight between devices hold their settled counts.
+        for task_id, tokens in entries.items():
+            exact.setdefault(task_id, tokens)
+        assert exact.keys() == entries.keys()
+        true_max = max(exact.values(), default=0.0)
+        assert candidate_bucket(ledger.ready_max_tokens()) == (
+            candidate_bucket(true_max)
+        ), f"t={now}"
+        checked["steps"] += 1
+        checked["lagging"] += sum(
+            1 for task_id, tokens in entries.items()
+            if tokens != exact[task_id]
+        )
+        return now
+
+    monkeypatch.setattr(DeviceSim, "__init__", init)
+    monkeypatch.setattr(DeviceSim, "step", step)
+    tasks = synthetic_trace_runtimes(
+        160,
+        seed=5,
+        mean_interarrival_cycles=1.05e6 / (4 * 1.3),
+        bursty=True,
+        qos_mix={"interactive": 0.3, "standard": 0.4, "batch": 0.3},
+    )
+    result = ClusterScheduler(
+        4,
+        SimulationConfig(npu=_CONFIG, mode=PreemptionMode(mode)),
+        policy_name="PREMA",
+        routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
+        seed=5,
+    ).run(tasks)
+    assert devices[0].policy._ledger is not None
+    assert result.migration_count > 0
+    assert checked["steps"] > 300
+    assert checked["lagging"] > 0  # entries really do lag the grid

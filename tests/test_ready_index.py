@@ -20,9 +20,24 @@ from repro.core.tokens import (
     TOKEN_LEVELS,
     candidate_bucket,
     candidate_threshold,
+    token_increment,
 )
 from repro.sched import policies
 from repro.sched.policies import POLICY_NAMES, make_policy
+
+
+def grant_period(policy, table):
+    """One period tick's grants to every ready row, reported to the
+    policy as possible level crossings (the simulator reports only the
+    rows it predicted to cross; reporting all of them must agree)."""
+    rows = table.ready()
+    for row in rows:
+        row.grant_tokens(
+            token_increment(
+                row.priority, row.waited_since_grant, row.estimated_cycles
+            )
+        )
+    policy.on_tokens_raised(rows, table)
 
 
 def make_row(task_id, rng=None):
@@ -177,7 +192,7 @@ def _drive_lifecycle(policy_name, seed, steps=250):
         if policy.uses_tokens:
             for row in table.ready():
                 row.waited_since_grant += rng.uniform(0.0, 5e5)
-            policy.on_period(table)
+            grant_period(policy, table)
 
     for _ in range(3):
         admit()
@@ -326,7 +341,7 @@ def test_in_place_regrade_matches_reference(
         before = {row.task_id: candidate_bucket(row.tokens) for row in rows}
         for row in table.ready():
             row.waited_since_grant += rng.uniform(0.0, 1e5)
-        policy.on_period(table)
+        grant_period(policy, table)
         crossed |= {
             row.task_id for row in rows
             if candidate_bucket(row.tokens) != before[row.task_id]
@@ -355,7 +370,7 @@ def test_in_place_regrade_matches_reference(
 
 
 @pytest.mark.parametrize("policy_name", ["TOKEN", "PREMA"])
-def test_hookless_change_makes_on_period_rebuild(policy_name, rebuilds):
+def test_hookless_change_makes_regrade_rebuild(policy_name, rebuilds):
     policy = make_policy(policy_name)
     table = ContextTable()
     rows = [make_row(i) for i in range(6)]
@@ -364,7 +379,7 @@ def test_hookless_change_makes_on_period_rebuild(policy_name, rebuilds):
         policy.on_admit(row, 0.0)
     # Count mismatch: a row joins the table without on_admit.
     table.add(make_row(6))
-    policy.on_period(table)
+    grant_period(policy, table)
     assert len(rebuilds) == 1
     _assert_buckets_exact(policy, table)
     # Equal counts, unknown row: one row retires and another joins, both
@@ -373,7 +388,7 @@ def test_hookless_change_makes_on_period_rebuild(policy_name, rebuilds):
     table.add(make_row(7))
     for row in table.ready():
         row.waited_since_grant += 4e6
-    policy.on_period(table)
+    grant_period(policy, table)
     assert len(rebuilds) == 2
     _assert_buckets_exact(policy, table)
     reference = make_policy(policy_name).select(table.ready())

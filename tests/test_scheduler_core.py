@@ -4,8 +4,13 @@ recommendations."""
 import pytest
 
 from repro.core.context import ContextTable, TaskContext, TaskState
-from repro.core.scheduler import PremaPolicyCore, SchedulerConfig
+from repro.core.scheduler import PremaPolicyCore, SchedulerConfig, replay_grants
 from repro.core.tokens import Priority
+from repro.npu.config import NPUConfig
+from repro.sched.policies import make_policy
+from repro.sched.simulator import NPUSimulator, PreemptionMode, SimulationConfig
+from repro.workloads.specs import TaskSpec
+from repro.workloads.trace import synthetic_runtime
 
 
 def make_row(task_id, priority=Priority.MEDIUM, estimated=1000.0, tokens=None,
@@ -31,46 +36,63 @@ class TestSchedulerConfig:
             SchedulerConfig(period_cycles=0)
 
 
+def grant_once(*rows):
+    """Replay one period tick (a grid point no row has waited past)."""
+    for row in rows:
+        assert replay_grants(row, 0.0, 0.0, 1.0, inclusive=True) == 1.0
+
+
 class TestPeriodicGrants:
     def test_grant_proportional_to_priority_and_slowdown(self):
-        core = PremaPolicyCore()
-        table = ContextTable()
         low = make_row(1, Priority.LOW, estimated=100.0, waited_since_grant=200.0)
         high = make_row(2, Priority.HIGH, estimated=100.0, waited_since_grant=200.0)
-        table.add(low)
-        table.add(high)
-        core.grant_periodic_tokens(table)
+        grant_once(low, high)
         # Slowdown_normalized = 200/100 = 2 -> low: 1+2, high: 9+18.
         assert low.tokens == pytest.approx(3.0)
         assert high.tokens == pytest.approx(27.0)
 
     def test_short_jobs_accumulate_faster(self):
-        core = PremaPolicyCore()
-        table = ContextTable()
         short = make_row(1, Priority.LOW, estimated=10.0, waited_since_grant=100.0)
         long = make_row(2, Priority.LOW, estimated=1000.0, waited_since_grant=100.0)
-        table.add(short)
-        table.add(long)
-        core.grant_periodic_tokens(table)
+        grant_once(short, long)
         assert short.tokens > long.tokens
 
     def test_running_tasks_not_granted(self):
-        core = PremaPolicyCore()
-        table = ContextTable()
-        running = make_row(1, waited_since_grant=100.0)
-        running.state = TaskState.RUNNING
-        table.add(running)
-        before = running.tokens
-        core.grant_periodic_tokens(table)
-        assert running.tokens == before
+        """Only READY rows are replayed: a task that runs from its
+        arrival keeps its initial tokens while a waiting one earns."""
+        period = SchedulerConfig().period_cycles
+        tasks = [
+            synthetic_runtime(
+                TaskSpec(task_id=task_id, benchmark=f"syn{task_id}", batch=1,
+                         priority=Priority.MEDIUM, arrival_cycles=0.0),
+                cycles,
+            )
+            for task_id, cycles in ((0, 50 * period), (1, 10 * period))
+        ]
+        result = NPUSimulator(
+            SimulationConfig(npu=NPUConfig(), mode=PreemptionMode.NP),
+            make_policy("PREMA"),
+        ).run(tasks)
+        assert result.task_by_id(0).context.tokens == 3.0
+        assert result.task_by_id(1).context.tokens > 9.0
+
+    def test_nonpositive_estimates_earn_nothing(self):
+        row = make_row(1, estimated=0.0, waited_since_grant=100.0)
+        before = row.tokens
+        grant_once(row)
+        assert row.tokens == before
+        assert row.waited_since_grant == 100.0
 
     def test_grant_resets_waited_since_grant(self):
-        core = PremaPolicyCore()
-        table = ContextTable()
         row = make_row(1, waited_since_grant=50.0)
-        table.add(row)
-        core.grant_periodic_tokens(table)
+        grant_once(row)
         assert row.waited_since_grant == 0.0
+
+    def test_read_before_the_tick_grants_nothing(self):
+        row = make_row(1, waited_since_grant=50.0)
+        before = row.tokens
+        assert replay_grants(row, 0.0, 0.0, 1.0, inclusive=False) == 0.0
+        assert row.tokens == before and row.waited_since_grant == 50.0
 
 
 class TestCandidateSelection:

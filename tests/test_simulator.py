@@ -3,8 +3,9 @@
 import pytest
 
 import helpers_golden
+from repro.core.context import TaskContext
 from repro.core.scheduler import SchedulerConfig
-from repro.core.tokens import Priority
+from repro.core.tokens import Priority, candidate_bucket, token_increment
 from repro.npu.config import NPUConfig
 from repro.sched.cluster import ClusterConfig, ClusterScheduler, RoutingPolicy
 from repro.sched.metrics import compute_metrics
@@ -245,13 +246,52 @@ class TestLazyPeriodClock:
         assert cluster.events_by_kind["PERIOD"] == 0
         assert cluster.events_processed == sum(cluster.events_by_kind.values())
 
-    def test_token_policy_waiting_rows_still_get_their_ticks(self):
-        tasks = [lone_task(), lone_task(10 * PERIOD, task_id=1)]
-        result = NPUSimulator(
-            self.sim_config(PreemptionMode.NP), make_policy("PREMA")
-        ).run(tasks)
-        # Task 1 earns tokens over the whole 50 periods of task 0.
-        assert result.events_by_kind["PERIOD"] >= 50
+    def test_token_policy_waiting_row_ticks_only_at_its_crossings(self):
+        """Task 1 earns tokens over the whole 50 periods of task 0, but
+        PREMA/NP ticks only where its count crosses a token level (plus
+        the tick that disarms the drained clock), and its final tokens
+        and wait equal the eager per-tick grant loop's bit for bit."""
+        sim = DeviceSim(self.sim_config(PreemptionMode.NP), make_policy("PREMA"))
+        for task in (lone_task(), lone_task(10 * PERIOD, task_id=1)):
+            sim.inject(task)
+        ticks = []
+        while sim.next_event_time() is not None:
+            sim.step()
+            if sim.last_event_kind.name == "PERIOD":
+                ticks.append(sim.now)
+        result = sim.result()
+        waiter = result.task_by_id(1)
+        dispatched = waiter.first_dispatch_time
+        assert dispatched == result.task_by_id(0).completion_time
+
+        # The eager clock: a tick at every grid point, each settling the
+        # wait and granting; the COMPLETE at ``dispatched`` (and at the
+        # waiter's own completion) sorts before a same-time tick.
+        row = TaskContext(
+            task_id=1,
+            priority=waiter.context.priority,
+            estimated_cycles=waiter.context.estimated_cycles,
+        )
+        crossings = []
+        point = 0.0 + PERIOD
+        while point < dispatched:
+            before = candidate_bucket(row.tokens)
+            row.accrue_wait(point)
+            row.grant_tokens(
+                token_increment(
+                    row.priority, row.waited_since_grant, row.estimated_cycles
+                )
+            )
+            if candidate_bucket(row.tokens) != before:
+                crossings.append(point)
+            point += PERIOD
+        row.accrue_wait(dispatched)
+        while point < waiter.completion_time:
+            point += PERIOD
+        assert len(crossings) == 2
+        assert ticks == crossings + [point]
+        assert waiter.context.tokens.hex() == row.tokens.hex()
+        assert waiter.context.waited_cycles.hex() == row.waited_cycles.hex()
 
     @pytest.mark.parametrize("policy", ["FCFS", "HPF", "SJF"])
     def test_token_free_waiting_rows_skip_their_ticks(self, policy):
@@ -298,6 +338,67 @@ class TestLazyPeriodClock:
         assert helpers_golden._encode_result(
             lazy_result
         ) == helpers_golden._encode_result(eager_result)
+
+    @pytest.mark.parametrize("policy", ["PREMA", "TOKEN"])
+    def test_token_ticks_are_eager_ticks_fired_once(self, policy):
+        """Crossing ticks, re-check ticks and the earlier ticks that
+        supersede them all land on the eager clock's grid, each at most
+        once, in order."""
+        def ticks(sim):
+            for task in synthetic_trace_runtimes(300, seed=12, bursty=True):
+                sim.inject(task)
+            fired = []
+            while sim.has_live_tasks and sim.next_event_time() is not None:
+                sim.step()
+                if sim.last_event_kind.name == "PERIOD":
+                    fired.append(sim.now)
+            return fired
+
+        config = self.sim_config(PreemptionMode.DYNAMIC)
+        lazy = DeviceSim(config, make_policy(policy))
+        eager = DeviceSim(config, make_policy(policy))
+        eager.poll_ticks(True, 0.0, False)
+        lazy_ticks, eager_ticks = ticks(lazy), ticks(eager)
+        assert lazy_ticks == sorted(set(lazy_ticks))
+        assert set(lazy_ticks) <= set(eager_ticks)
+        assert 0 < len(lazy_ticks) < len(eager_ticks)
+
+    def test_removal_wakes_a_settled_token_device(self):
+        """Stealing the long top-bucket row A lowers the candidate
+        threshold: the short row B becomes PREMA's candidate and
+        preempts the running task at the very next tick, long before
+        B's own next level crossing."""
+        def device(eager):
+            sim = DeviceSim(
+                self.sim_config(PreemptionMode.STATIC), make_policy("PREMA")
+            )
+            if eager:
+                sim.poll_ticks(True, 0.0, False)
+            # (id, priority, cycles, tokens): running R and waiting A in
+            # bucket 2, short B in bucket 1.
+            for task_id, priority, cycles, tokens in (
+                (0, Priority.MEDIUM, 100 * PERIOD, 5.0),
+                (1, Priority.MEDIUM, 200 * PERIOD, 5.0),
+                (2, Priority.LOW, 5 * PERIOD, 1.5),
+            ):
+                task = synthetic_runtime(
+                    TaskSpec(task_id=task_id, benchmark=f"syn{task_id}",
+                             batch=1, priority=priority, arrival_cycles=0.0),
+                    cycles,
+                )
+                task.context.tokens = tokens
+                sim.inject(task)
+            while sim.next_event_time() < 2.5 * PERIOD:
+                sim.step()
+            sim.remove_task(1, 2.5 * PERIOD)
+            return drain(sim)
+
+        lazy, eager = device(False), device(True)
+        assert helpers_golden._encode_result(lazy) == (
+            helpers_golden._encode_result(eager)
+        )
+        # B runs once R's checkpoint trap after the 3 * PERIOD tick ends.
+        assert 3 * PERIOD < lazy.task_by_id(2).first_dispatch_time < 4 * PERIOD
 
     def test_stop_accepting_queues_the_next_grid_tick(self):
         sim = DeviceSim(self.sim_config(), make_policy("PREMA"))
