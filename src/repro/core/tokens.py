@@ -119,9 +119,11 @@ class ClusterTokenLedger:
     migration).  The devices replay period grants per row on demand, so
     an entry may lag the grid, but never by a token level: the bucket of
     :meth:`ready_max_tokens` -- all a candidate threshold reads -- is
-    the bucket of the true maximum at every step.  Entries are keyed by
-    task id; a task is *active* while it sits in some device's ready
-    queue (or is mid-migration between two of them).
+    the bucket of the true maximum at every step.  That bucket is also
+    the ledger's only effect on a decision, so the cluster loops wake a
+    device whose refusal read the ledger only when the bucket moves.
+    Entries are keyed by task id; a task is *active* while it sits in
+    some device's ready queue (or is mid-migration between two of them).
 
     The max is answered from a lazy-deletion heap (amortized O(log n) per
     update), the same technique as the policies' priority structures.

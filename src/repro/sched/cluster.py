@@ -75,7 +75,7 @@ from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.context import TaskState
-from repro.core.tokens import ClusterTokenLedger
+from repro.core.tokens import ClusterTokenLedger, candidate_bucket
 from repro.serving.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -550,6 +550,8 @@ class _ClusterIndexes:
     #: Trace sink (class attr = no per-instance cost when unobserved);
     #: the scheduler rebinds it right after construction when tracing.
     tracer = NULL_TRACER
+    #: Does :meth:`route_min_backlog` search the fleet-wide bound heap?
+    flat_routing = True
 
     def __init__(self, devices: Sequence[DeviceSim], verify: bool = False) -> None:
         self._devices = devices
@@ -560,9 +562,13 @@ class _ClusterIndexes:
         self._backlog_bound: List[float] = [0.0] * num
         # Pre-seeded with every device at bound 0.0 (an ascending list is
         # already a valid heap); refresh() only pushes on bound *moves*.
-        self._backlog_heap: List[Tuple[float, int]] = [
-            (0.0, index) for index in range(num)
-        ]
+        # None when routing never reads it (the rack frontend searches
+        # its per-rack heaps instead).
+        self._backlog_heap: Optional[List[Tuple[float, int]]] = (
+            [(0.0, index) for index in range(num)]
+            if self.flat_routing
+            else None
+        )
         self._heap_cap = 4 * num + 64
         self.idle_candidates = _OrderedIndexSet()
         self.steal_candidates = _OrderedIndexSet()
@@ -649,13 +655,15 @@ class _ClusterIndexes:
             # valid (entries are validated by value), so only actual
             # moves pay a push.
             self._backlog_bound[index] = bound
-            heapq.heappush(self._backlog_heap, (bound, index))
-            if len(self._backlog_heap) > self._heap_cap:
-                self._backlog_heap = [
-                    (value, idx)
-                    for idx, value in enumerate(self._backlog_bound)
-                ]
-                heapq.heapify(self._backlog_heap)
+            heap = self._backlog_heap
+            if heap is not None:
+                heapq.heappush(heap, (bound, index))
+                if len(heap) > self._heap_cap:
+                    self._backlog_heap = [
+                        (value, idx)
+                        for idx, value in enumerate(self._backlog_bound)
+                    ]
+                    heapq.heapify(self._backlog_heap)
         if device.maybe_idle:
             self.idle_candidates.add(index)
         else:
@@ -680,6 +688,7 @@ class _ClusterIndexes:
         search stops once the top bound entry cannot beat the best exact
         key, which covers every unexamined device since exact >= bound.
         """
+        assert self._backlog_heap is not None
         best_key, best_backlog = self._best_first(self._backlog_heap, now, inbound)
         if best_key is None:
             raise RuntimeError("backlog index has no live device entries")
@@ -772,8 +781,11 @@ class _RackIndexes(_ClusterIndexes):
 
     A single-rack topology is decision-identical to the flat indexes:
     the rack pick is trivial and the rack's device heap holds the whole
-    fleet (``tests/test_rack.py`` pins this bit-for-bit).
+    fleet (``tests/test_rack.py`` pins this bit-for-bit).  The flat
+    fleet-wide bound heap is never searched here, so it is not kept.
     """
+
+    flat_routing = False
 
     def __init__(
         self,
@@ -1676,6 +1688,10 @@ class ClusterScheduler:
         profiler = self.profiler
         poll_migration = self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
         polling = False
+        #: Bucket of the ledger maximum as of the last processed item
+        #: (see _ledger_wake); arrivals and batch flushes only inject,
+        #: so device steps and churn transitions are where it can move.
+        ledger_bucket = 0
         #: Running completion counter -- the O(1) termination check.  The
         #: reference loop keeps the historical O(d) sum below.
         completed_total = 0
@@ -1719,6 +1735,10 @@ class ClusterScheduler:
                         if poll_migration:
                             polling = self._poll_migration(
                                 devices, indexes, polling, churn_time
+                            )
+                        if ledger is not None:
+                            ledger_bucket = self._ledger_wake(
+                                devices, ledger, ledger_bucket, churn_time
                             )
                         continue
 
@@ -1915,6 +1935,11 @@ class ClusterScheduler:
                     devices, indexes, polling, now,
                     (now, device_key[1], device_index),
                 )
+            if ledger is not None:
+                ledger_bucket = self._ledger_wake(
+                    devices, ledger, ledger_bucket, now,
+                    (now, device_key[1], device_index),
+                )
 
             if indexes is not None:
                 if completed_total >= total:
@@ -2083,6 +2108,10 @@ class ClusterScheduler:
         profiler = self.profiler
         poll_migration = self.routing is RoutingPolicy.PREEMPTIVE_MIGRATION
         polling = False
+        #: Bucket of the ledger maximum as of the last processed item
+        #: (see _ledger_wake); arrivals and batch flushes only inject,
+        #: so device steps and churn transitions are where it can move.
+        ledger_bucket = 0
         churn_rt: Optional[_ChurnRuntime] = None
         if self.churn is not None:
             churn_rt = _ChurnRuntime(
@@ -2414,6 +2443,10 @@ class ClusterScheduler:
                         polling = self._poll_migration(
                             devices, indexes, polling, churn_time
                         )
+                    if ledger is not None:
+                        ledger_bucket = self._ledger_wake(
+                            devices, ledger, ledger_bucket, churn_time
+                        )
                     continue
 
             flush_due = flush_at is not None and (
@@ -2580,6 +2613,11 @@ class ClusterScheduler:
                     devices, indexes, polling, now,
                     (now, device_key[1], device_index),
                 )
+            if ledger is not None:
+                ledger_bucket = self._ledger_wake(
+                    devices, ledger, ledger_bucket, now,
+                    (now, device_key[1], device_index),
+                )
 
             if settled >= total_jobs:
                 break
@@ -2709,17 +2747,21 @@ class ClusterScheduler:
                 device = devices[index]
                 if not device.accepts_work:
                     continue  # churn: never predict against a doomed device
-                class_backlog = device.predicted_backlog(
-                    now, min_priority=min_priority,
-                    sjf_within_cycles=sjf_within,
-                ) + self._inbound_backlog(
-                    inflight, index, now, min_priority=min_priority
-                )
                 if filtered:
-                    total_backlog = device.predicted_backlog(
+                    class_backlog, total_backlog = device.predicted_backlog(
+                        now, min_priority=min_priority,
+                        sjf_within_cycles=sjf_within, with_total=True,
+                    )
+                    class_backlog += self._inbound_backlog(
+                        inflight, index, now, min_priority=min_priority
+                    )
+                    total_backlog += self._inbound_backlog(
+                        inflight, index, now
+                    )
+                else:
+                    class_backlog = device.predicted_backlog(
                         now
                     ) + self._inbound_backlog(inflight, index, now)
-                else:
                     total_backlog = class_backlog
                 key = (class_backlog, total_backlog, index)
                 if best_key is None or key < best_key:
@@ -2883,6 +2925,36 @@ class ClusterScheduler:
                     event is not None and (now, period_rank, index) < event,
                 )
         return possible
+
+    @staticmethod
+    def _ledger_wake(
+        devices: Sequence[DeviceSim],
+        ledger: ClusterTokenLedger,
+        bucket: int,
+        now: float,
+        event: Optional[Tuple[float, int, int]] = None,
+    ) -> int:
+        """Wake the devices whose refusals read a stale ledger bucket;
+        returns the bucket of the ledger maximum after this item.
+
+        Token decisions read the ledger only through the bucket of its
+        maximum, and the ledger changes only inside cluster items
+        (device steps, migration passes, churn transitions).  So when
+        an item leaves the bucket where it found it, no settled refusal
+        can change; when it moved, every device re-checks at its next
+        grid point (:meth:`DeviceSim.ledger_moved`).  ``event`` is as in
+        :meth:`_poll_migration`: a device's tick at exactly ``now``
+        already fired when it sorts before the item just handled.
+        """
+        moved = candidate_bucket(ledger.ready_max_tokens())
+        if moved != bucket:
+            period_rank = int(_EventKind.PERIOD)
+            for index, device in enumerate(devices):
+                device.ledger_moved(
+                    now,
+                    event is not None and (now, period_rank, index) < event,
+                )
+        return moved
 
     def _sample_before(
         self,

@@ -69,7 +69,8 @@ class Policy:
     uses_tokens: bool = False
     #: Does a refused preemption (``outranks_running`` False) stay refused
     #: until the next simulator event (or, for the token policies, the
-    #: next token-level crossing)?  True when neither selection nor
+    #: next token-level crossing or move of the cluster ledger's
+    #: maximum bucket)?  True when neither selection nor
     #: ranking reads the time or moves policy state; the simulator then
     #: skips the period ticks that could only repeat the refusal.
     stable_refusals: bool = False
@@ -428,13 +429,16 @@ class _TokenBucketPolicy(_IncrementalReadyPolicy):
     between two level crossings, with no row joining or leaving, neither
     the candidate nor the threshold moves, and a refused preemption
     stays refused (the running task's
-    remaining estimate only shrinks): refusals are time-stable.  With a
-    cluster ledger they are not -- a remote crossing or dispatch can move
-    the external maximum at any tick.
+    remaining estimate only shrinks): refusals are time-stable.  A
+    cluster ledger enters only through the bucket of its maximum, so on
+    a ledger device a refusal holds until that bucket moves too, and
+    the cluster loop wakes the device when it does
+    (:meth:`~repro.sched.simulator.DeviceSim.ledger_moved`).
     """
 
     uses_predictor = True
     uses_tokens = True
+    stable_refusals = True
 
     def __init__(
         self,
@@ -448,10 +452,6 @@ class _TokenBucketPolicy(_IncrementalReadyPolicy):
 
     def _structure(self):
         return self._buckets
-
-    @property
-    def stable_refusals(self) -> bool:  # type: ignore[override]
-        return self._ledger is None
 
     def _external_max(self) -> float:
         """The cluster ledger's maximum token count (0.0 without one)."""

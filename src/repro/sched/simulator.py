@@ -56,7 +56,16 @@ import dataclasses
 import enum
 import heapq
 import itertools
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.context import ContextTable, TaskState
 from repro.core.mechanism import MechanismChoice, select_mechanism
@@ -203,22 +212,26 @@ class DeviceSim:
       its ticks are a polling clock;
     - the cluster asked for every tick (:meth:`poll_ticks`): preemptive
       migration re-checks the whole fleet after any device's event, and
-      whether a move pays off depends on the time of the check.
+      whether a move pays off depends on the time of the check;
+    - the cluster token ledger's maximum moved to another bucket since
+      the device's last wake (:meth:`ledger_moved`): its next grid
+      point re-checks the refusal.
 
     A wake outcome is time-stable when repeating the wake at any later
-    tick, with no event or level crossing in between, must give the same
-    answer and change no state: NP mode with a task running (the wake
-    returns at once), or a refused preemption under a policy whose
-    refusals hold until then (:attr:`Policy.stable_refusals`: FCFS, HPF
-    and SJF, whose keys do not depend on time -- under SJF the running
-    task's remaining estimate only shrinks -- and TOKEN and PREMA on a
-    device without a cluster ledger, which read counts only through the
-    token levels).  A DRAIN verdict is not stable (DYNAMIC mode
-    counts one drain decision per tick), nor is a wake that returned
-    early on a reserved NPU, nor any step that ran no wake (a DISPATCH
-    starts the reserved task without one, so a candidate that arrived
-    during the trap is first checked at the next tick), and
-    :meth:`force_checkpoint` unsettles the device too, as does
+    tick, with no event, level crossing or ledger bucket move in
+    between, must give the same answer and change no state: NP mode
+    with a task running (the wake returns at once), or a refused
+    preemption under a policy whose refusals hold until then
+    (:attr:`Policy.stable_refusals`: FCFS, HPF and SJF, whose keys do
+    not depend on time -- under SJF the running
+    task's remaining estimate only shrinks -- and TOKEN and PREMA, which
+    read counts only through the token levels, and a cluster ledger
+    only through the bucket of its maximum).  A DRAIN verdict is not
+    stable (DYNAMIC mode counts one drain decision per tick), nor is a
+    wake that returned early on a reserved NPU, nor any step that ran
+    no wake (a DISPATCH starts the reserved task without one, so a
+    candidate that arrived during the trap is first checked at the next
+    tick), and :meth:`force_checkpoint` unsettles the device too, as does
     :meth:`remove_task` under a token policy (the removed row may have
     held the top token bucket, so the threshold can drop).  RRB's
     preemptive-mode wakes advance its rotation cursor, so its refusals
@@ -624,6 +637,27 @@ class DeviceSim:
             self._queue_period(now, passed_now)
             self._notify_event_change()
 
+    def ledger_moved(self, now: float, passed_now: bool) -> None:
+        """The cluster token ledger's maximum changed bucket (cluster
+        hook, called after the item that moved it).
+
+        A settled refusal read the old bucket, so it no longer holds:
+        the device re-arms its next grid point not yet passed.
+        ``passed_now`` says whether this device's tick at exactly
+        ``now`` precedes the cluster's current item in the global event
+        order -- that tick already saw the old bucket, so the re-check
+        is one period later.  Under NP a settled device has a task
+        running and its wakes read no tokens.
+        """
+        if (
+            self._wake_settled
+            and self._table.has_ready
+            and self.config.mode is not PreemptionMode.NP
+        ):
+            self._wake_settled = False
+            self._queue_period(now, passed_now)
+            self._notify_event_change()
+
     # ------------------------------------------------------------------
     # Introspection (cluster-level routing and stealing read these)
     # ------------------------------------------------------------------
@@ -718,7 +752,8 @@ class DeviceSim:
         now: float,
         min_priority: Optional[int] = None,
         sjf_within_cycles: Optional[float] = None,
-    ) -> float:
+        with_total: bool = False,
+    ) -> Union[float, Tuple[float, float]]:
         """Scheduler-visible predicted cycles left on this device.
 
         Sums ``Time_estimated`` minus accounted progress over every live
@@ -741,38 +776,44 @@ class DeviceSim:
         priorities, so an arrival only waits behind same-priority rows
         whose remaining estimate is at most its own.  None (the default,
         and the only form routing ever uses) keeps the historical total.
+
+        ``with_total`` returns ``(filtered, total)`` from one pass
+        instead, the total being bit-identical to the unfiltered read:
+        each sum is its own left fold over the same admission order.
         """
         if min_priority is None and sjf_within_cycles is None:
-            return self._backlog_sum(lambda task: task.progress_at(now))
+            total = self._backlog_sum(lambda task: task.progress_at(now))
+            return (total, total) if with_total else total
+        filtered = 0.0
         total = 0.0
         for task in self._live_admitted.values():
             context = task.context
+            queued = task.dispatch_time is None
+            if queued:
+                remaining = context.estimated_cycles - context.executed_cycles
+            else:
+                remaining = context.estimated_cycles - task.progress_at(now)
+            # max(0.0, remaining) without the call, same result.
+            remaining = remaining if remaining > 0.0 else 0.0
+            total += remaining
             if min_priority is not None:
-                level = int(context.priority)
-                if level < min_priority:
-                    continue
-                remaining = max(
-                    0.0, context.estimated_cycles - context.executed_cycles
-                )
-                if (
+                level = context.priority
+                if level < min_priority or (
                     level == min_priority
                     and sjf_within_cycles is not None
-                    and task.dispatch_time is None
+                    and queued
                     and remaining > sjf_within_cycles
                 ):
                     continue
-            if task.dispatch_time is not None:
-                executed = task.progress_at(now)
-            else:
-                executed = context.executed_cycles
-            total += max(0.0, context.estimated_cycles - executed)
-        return total
+            filtered += remaining
+        return (filtered, total) if with_total else filtered
 
     def _backlog_sum(self, running_executed) -> float:
         """The unfiltered admission-order backlog summation.
 
         The single loop behind both :meth:`predicted_backlog`'s
-        unfiltered read and :meth:`backlog_lower_bound` -- the backlog
+        unfiltered read and :meth:`backlog_lower_bound` (the filtered
+        read's ``total`` repeats its fold term for term) -- the backlog
         index's bit-for-bit guarantee requires those two to perform the
         *identical* IEEE-754 summation with only the running task's
         executed-cycles source swapped, so they must not drift apart as
@@ -786,7 +827,8 @@ class DeviceSim:
                 executed = running_executed(task)
             else:
                 executed = context.executed_cycles
-            total += max(0.0, context.estimated_cycles - executed)
+            remaining = context.estimated_cycles - executed
+            total += remaining if remaining > 0.0 else 0.0
         return total
 
     def backlog_lower_bound(self) -> float:

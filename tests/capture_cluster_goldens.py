@@ -2,14 +2,15 @@
 
 Usage::
 
-    PYTHONPATH=src python tests/capture_cluster_goldens.py [--combo | --tokens]
+    PYTHONPATH=src python tests/capture_cluster_goldens.py [--combo | --tokens | --ledger]
 
 The committed golden pins every routing policy -- checkpoint migration
 included -- on 2/4/8-device clusters with rotating device schedulers.
 ``--combo`` instead writes the feature-combination golden (migration,
 proactive churn, admission and sharded batching on one 4-device fleet);
 ``--tokens`` writes the token-read golden (PREMA/TOKEN rows whose exact
-token counts order evacuations and migrations).
+token counts order evacuations and migrations); ``--ledger`` writes the
+ledger golden (PREMA/TOKEN fleets sharing the cluster token ledger).
 Regenerating either is only justified alongside an intentional,
 documented behavioral change.
 """
@@ -34,6 +35,11 @@ def main() -> None:
         payload = helpers_golden.capture_token_reads()
         path = helpers_golden.write_cluster_goldens(
             payload, helpers_golden.TOKEN_GOLDEN_PATH
+        )
+    elif "--ledger" in sys.argv[1:]:
+        payload = helpers_golden.capture_ledger()
+        path = helpers_golden.write_cluster_goldens(
+            payload, helpers_golden.LEDGER_GOLDEN_PATH
         )
     else:
         payload = helpers_golden.capture_cluster()

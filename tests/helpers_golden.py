@@ -64,6 +64,9 @@ COMBO_GOLDEN_PATH = (
 TOKEN_GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "data" / "golden_token_reads.json.gz"
 )
+LEDGER_GOLDEN_PATH = (
+    pathlib.Path(__file__).parent / "data" / "golden_ledger_ticks.json.gz"
+)
 
 SINGLE_SEED = 77
 CLUSTER_SEED = 78
@@ -437,6 +440,45 @@ TOKEN_MODE_MECHANISMS: Tuple[Tuple[str, str], ...] = (
 )
 
 
+def _token_trace(seed: int, num_tasks: int, load: float):
+    mean_service = 1.5e-3 * 700e6
+    return synthetic_trace_runtimes(
+        num_tasks,
+        seed=seed,
+        mean_interarrival_cycles=mean_service / (TOKEN_DEVICES * load),
+        bursty=True,
+        qos_mix={"interactive": 0.3, "standard": 0.4, "batch": 0.3},
+    )
+
+
+def _token_churn(seed: int, horizon: float, faults: bool = True):
+    return ChurnSchedule.generate(
+        TOKEN_DEVICES,
+        horizon_cycles=horizon,
+        seed=seed,
+        fault_rate=0.5 / horizon if faults else 0.0,
+        revocation_rate=1.0 / horizon,
+        drain_rate=0.5 / horizon,
+        mean_outage_cycles=horizon / 8,
+        mean_warning_cycles=2e6,
+    )
+
+
+def _digest_run(scheduler: ClusterScheduler, tasks) -> Dict[str, object]:
+    """SHA-256 of every :func:`_encode_cluster_v2` field plus lost ids,
+    with the makespan and migration/loss counts alongside."""
+    result = scheduler.run(tasks)
+    record = _encode_cluster_v2(result)
+    record["lost"] = sorted(t.task_id for t in result.lost_tasks)
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return {
+        "digest": hashlib.sha256(text.encode()).hexdigest(),
+        "makespan": record["makespan"],
+        "migrations": len(record["migrations"]),
+        "lost": len(record["lost"]),
+    }
+
+
 def token_read_runs() -> Iterator[Tuple[str, object]]:
     """PREMA and TOKEN on a bursty 4-device fleet at 1.2x load, under
     the routings whose migrations read token counts, with fail-stop
@@ -449,38 +491,18 @@ def token_read_runs() -> Iterator[Tuple[str, object]]:
     makespan and migration/loss counts ride along to tell a diverged run
     at a glance.
     """
-    mean_service = 1.5e-3 * 700e6
     for case_index, (case, routing, churn_on) in enumerate(TOKEN_CASES):
         for mode_index, (mode, mechanism) in enumerate(TOKEN_MODE_MECHANISMS):
             seed = case_index * len(TOKEN_MODE_MECHANISMS) + mode_index
             for policy_name in TOKEN_POLICIES:
-                tasks = synthetic_trace_runtimes(
-                    TOKEN_NUM_TASKS,
-                    seed=seed,
-                    mean_interarrival_cycles=mean_service
-                    / (TOKEN_DEVICES * TOKEN_LOAD),
-                    bursty=True,
-                    qos_mix={"interactive": 0.3, "standard": 0.4, "batch": 0.3},
-                )
+                tasks = _token_trace(seed, TOKEN_NUM_TASKS, TOKEN_LOAD)
                 horizon = tasks[-1].spec.arrival_cycles
-                churn = None
-                if churn_on:
-                    churn = ChurnSchedule.generate(
-                        TOKEN_DEVICES,
-                        horizon_cycles=horizon,
-                        seed=seed,
-                        fault_rate=0.5 / horizon,
-                        revocation_rate=1.0 / horizon,
-                        drain_rate=0.5 / horizon,
-                        mean_outage_cycles=horizon / 8,
-                        mean_warning_cycles=2e6,
-                    )
                 config = ClusterConfig(
                     policy_name=policy_name,
                     routing=routing,
                     seed=seed,
                     global_tokens=False,
-                    churn=churn,
+                    churn=_token_churn(seed, horizon) if churn_on else None,
                 )
                 scheduler = ClusterScheduler(
                     TOKEN_DEVICES,
@@ -491,16 +513,10 @@ def token_read_runs() -> Iterator[Tuple[str, object]]:
                     ),
                     config=config,
                 )
-                result = scheduler.run(tasks)
-                record = _encode_cluster_v2(result)
-                record["lost"] = sorted(t.task_id for t in result.lost_tasks)
-                text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-                yield f"tokens/{case}/{policy_name}/{mode}/{mechanism}", {
-                    "digest": hashlib.sha256(text.encode()).hexdigest(),
-                    "makespan": record["makespan"],
-                    "migrations": len(record["migrations"]),
-                    "lost": len(record["lost"]),
-                }
+                yield (
+                    f"tokens/{case}/{policy_name}/{mode}/{mechanism}",
+                    _digest_run(scheduler, tasks),
+                )
 
 
 def capture_token_reads() -> Dict[str, object]:
@@ -515,6 +531,111 @@ def capture_token_reads() -> Dict[str, object]:
             "--tokens)."
         ),
         "runs": dict(token_read_runs()),
+    }
+
+
+# ----------------------------------------------------------------------
+# Ledger golden: PREMA/TOKEN fleets that share one cluster token ledger,
+# so a device's refusals depend on rows held by the other devices
+# ----------------------------------------------------------------------
+#: (case name, routing).  Each runs with churn off and on.
+LEDGER_CASES: Tuple[Tuple[str, RoutingPolicy], ...] = (
+    ("migration", RoutingPolicy.PREEMPTIVE_MIGRATION),
+    ("stealing", RoutingPolicy.WORK_STEALING),
+    ("online", RoutingPolicy.ONLINE_PREDICTED),
+)
+#: Tasks in the serving-shaped case (admission, batching, sharding).
+LEDGER_SERVING_TASKS = 400
+
+
+def ledger_runs() -> Iterator[Tuple[str, object]]:
+    """PREMA and TOKEN on a bursty 4-device fleet at 1.2x load with the
+    cluster token ledger on (``global_tokens=True``), under preemptive
+    migration, work stealing and online prediction, with and without
+    churn (fail-stop faults, revocations, drains), plus one
+    serving-shaped run (admission, batching with 2-stage sharding,
+    preemptive migration, revocations and drains).
+
+    Each run is pinned like :func:`token_read_runs`: a digest of the
+    full record, tokens and waits included, compared exactly.
+    """
+    for case_index, (case, routing) in enumerate(LEDGER_CASES):
+        for churn_on in (False, True):
+            for mode_index, (mode, mechanism) in enumerate(
+                TOKEN_MODE_MECHANISMS
+            ):
+                seed = 100 + (2 * case_index + churn_on) * len(
+                    TOKEN_MODE_MECHANISMS
+                ) + mode_index
+                for policy_name in TOKEN_POLICIES:
+                    tasks = _token_trace(seed, TOKEN_NUM_TASKS, TOKEN_LOAD)
+                    horizon = tasks[-1].spec.arrival_cycles
+                    config = ClusterConfig(
+                        policy_name=policy_name,
+                        routing=routing,
+                        seed=seed,
+                        global_tokens=True,
+                        churn=_token_churn(seed, horizon) if churn_on else None,
+                    )
+                    scheduler = ClusterScheduler(
+                        TOKEN_DEVICES,
+                        SimulationConfig(
+                            npu=NPUConfig(),
+                            mode=PreemptionMode(mode),
+                            mechanism=mechanism,
+                        ),
+                        config=config,
+                    )
+                    suffix = "+churn" if churn_on else ""
+                    yield (
+                        f"ledger/{case}{suffix}/{policy_name}/{mode}/"
+                        f"{mechanism}",
+                        _digest_run(scheduler, tasks),
+                    )
+    seed = 150
+    tasks = _token_trace(seed, LEDGER_SERVING_TASKS, 1.5)
+    horizon = tasks[-1].spec.arrival_cycles
+    config = ClusterConfig(
+        policy_name="PREMA",
+        routing=RoutingPolicy.PREEMPTIVE_MIGRATION,
+        seed=seed,
+        global_tokens=True,
+        admission=AdmissionController(feedback=PredictionFeedback()),
+        batching=BatchConfig(
+            window_cycles=0.5e6,
+            max_batch=8,
+            marginal_fraction=0.6,
+            shard_stages=2,
+            min_shard_cycles=4e6,
+        ),
+        churn=_token_churn(seed, horizon, faults=False),
+    )
+    scheduler = ClusterScheduler(
+        TOKEN_DEVICES,
+        SimulationConfig(
+            npu=NPUConfig(),
+            mode=PreemptionMode("dynamic"),
+            mechanism="CHECKPOINT",
+        ),
+        config=config,
+    )
+    yield "ledger/serving/PREMA/dynamic/CHECKPOINT", _digest_run(
+        scheduler, tasks
+    )
+
+
+def capture_ledger() -> Dict[str, object]:
+    return {
+        "format": 1,
+        "note": (
+            "Ledger golden (PREMA/TOKEN fleets sharing the cluster token "
+            "ledger, churn on and off, plus a serving-shaped run): a "
+            "digest of every _encode_cluster_v2 field, tokens and waits "
+            "included, compared exactly.  Regenerate only alongside an "
+            "intentional behavioral change (python "
+            "tests/capture_cluster_goldens.py --ledger)."
+        ),
+        "runs": dict(ledger_runs()),
     }
 
 

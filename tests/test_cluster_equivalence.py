@@ -180,3 +180,30 @@ def test_token_reads_match_golden():
         * len(helpers_golden.TOKEN_MODE_MECHANISMS)
     )
     assert migrations > 0
+
+
+def test_ledger_runs_match_golden():
+    """PREMA/TOKEN fleets sharing the cluster token ledger, where a
+    device's refusals turn on rows held elsewhere, with and without
+    churn, plus a serving-shaped run: every field, tokens and waits
+    included, must match bit for bit."""
+    path = helpers_golden.LEDGER_GOLDEN_PATH
+    assert path.exists(), (
+        "ledger golden missing; regenerate via: "
+        "python tests/capture_cluster_goldens.py --ledger"
+    )
+    goldens = helpers_golden.load_cluster_goldens(path)["runs"]
+    seen = 0
+    migrations = 0
+    for key, actual in helpers_golden.ledger_runs():
+        assert actual == goldens[key], key
+        migrations += actual["migrations"]
+        seen += 1
+    assert seen == len(goldens) == (
+        len(helpers_golden.TOKEN_POLICIES)
+        * len(helpers_golden.LEDGER_CASES)
+        * 2
+        * len(helpers_golden.TOKEN_MODE_MECHANISMS)
+        + 1
+    )
+    assert migrations > 0

@@ -275,6 +275,64 @@ def test_backlog_lower_bound_never_exceeds_exact_backlog():
     assert probes > 64
 
 
+def _reference_backlog(sim, now, min_priority=None, sjf_within=None):
+    """The per-row fold the filtered read has always performed."""
+    total = 0.0
+    for task in sim._live_admitted.values():
+        context = task.context
+        if min_priority is not None:
+            level = int(context.priority)
+            if level < min_priority:
+                continue
+            remaining = max(
+                0.0, context.estimated_cycles - context.executed_cycles
+            )
+            if (
+                level == min_priority
+                and sjf_within is not None
+                and task.dispatch_time is None
+                and remaining > sjf_within
+            ):
+                continue
+        if task.dispatch_time is not None:
+            executed = task.progress_at(now)
+        else:
+            executed = context.executed_cycles
+        total += max(0.0, context.estimated_cycles - executed)
+    return total
+
+
+def test_fused_backlog_read_matches_the_separate_reads_bitwise():
+    """Admission's one-pass read returns the class-aware backlog and
+    the total that two separate reads (and the historic fold) give, bit
+    for bit, at every step and for every filter combination."""
+    sim = DeviceSim(_synthetic_config(), make_policy("PREMA"))
+    for runtime in synthetic_trace_runtimes(64, seed=29, qos_mix=QOS_MIX):
+        sim.inject(runtime)
+    reads = 0
+    while sim.has_live_tasks and sim.next_event_time() is not None:
+        now = sim.step()
+        for probe in (now, now + 1e5):
+            total = sim.predicted_backlog(probe)
+            assert total == _reference_backlog(sim, probe)
+            for min_priority in (None, 0, 1, 2):
+                for sjf_within in (None, 0.0, 1e6, 1e9):
+                    if min_priority is None and sjf_within is None:
+                        continue
+                    fused = sim.predicted_backlog(
+                        probe, min_priority, sjf_within, with_total=True
+                    )
+                    expected = _reference_backlog(
+                        sim, probe, min_priority, sjf_within
+                    )
+                    assert fused == (expected, total)
+                    assert sim.predicted_backlog(
+                        probe, min_priority, sjf_within
+                    ) == expected
+                    reads += 1
+    assert reads > 1000
+
+
 def test_candidate_properties_match_task_sets():
     """has_queued / has_preempted track the stealable populations."""
     sim = DeviceSim(_synthetic_config(), make_policy("PREMA"))
