@@ -51,19 +51,13 @@ class LatencyPredictor:
 
     def __init__(self, config: NPUConfig) -> None:
         self.config = config
-        self._cache: Dict[tuple, float] = {}
 
     def predict_model(self, model: CompiledModel) -> float:
         """Estimated cycles for a compiled model (CNN or unrolled RNN)."""
-        key = self._cache_key(model)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         total = 0.0
         for layer in model.layers:
             for shape in layer.gemm_shapes:
                 total += predicted_gemm_cycles(shape, self.config)
-        self._cache[key] = total
         return total
 
     def breakdown(self, model: CompiledModel) -> PredictionBreakdown:
@@ -82,10 +76,6 @@ class LatencyPredictor:
             total_cycles=sum(layer_cycles.values()),
             layer_cycles=layer_cycles,
         )
-
-    @staticmethod
-    def _cache_key(model: CompiledModel) -> tuple:
-        return (model.name, model.batch, len(model.layers))
 
 
 class OraclePredictor:

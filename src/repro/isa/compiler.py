@@ -18,6 +18,7 @@ both paths agree on every aggregate.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
@@ -166,8 +167,10 @@ def compile_layer(
     shapes = tuple(node.layer.gemms(inputs, batch))
     stream: Optional[InstructionStream] = None
     if shapes:
+        # Grouped convs repeat one shape per group: tile each shape once.
         total_tiles = sum(
-            TilePlan(shape=s, config=config).total_tiles for s in shapes
+            TilePlan(shape=shape, config=config).total_tiles * count
+            for shape, count in collections.Counter(shapes).items()
         )
         if materialize_stream:
             opcode_cls = ConvOp if node.kind == LayerKind.CONV else GemmOp

@@ -4,6 +4,12 @@ Inter-layer dependencies are extracted at compile time and encapsulated as
 a directed acyclic graph; inference executes nodes in topological order.
 The graph is shape-checked eagerly at construction so zoo builders fail
 fast on dimension bugs.
+
+A time-unrolled RNN repeats a few cells once per time step.  A
+:class:`ModelPlan` holds each cell once with the steps it spans, so work
+that depends only on a layer's shape -- lowering, timing, prediction --
+runs per cell rather than per unrolled node; :meth:`Graph.from_plan`
+expands a plan into the full graph for the callers that want one.
 """
 
 from __future__ import annotations
@@ -129,6 +135,29 @@ class Graph:
         self._by_name[layer.name] = node
         return node
 
+    @classmethod
+    def from_plan(cls, plan: "ModelPlan") -> "Graph":
+        """Expand a plan into its graph, node for node.
+
+        Each copy of a cell reads its cell input from the node added just
+        before it (the previous copy's last node, or the graph input), and
+        its intra-cell inputs from the same copy.
+        """
+        graph = cls(plan.name, plan.segments[0].cell.input_spec)
+        for segment in plan.segments:
+            names = iter(segment.node_names())
+            for _ in range(segment.repeats):
+                tail = graph._nodes[-1].name if graph._nodes else cls.INPUT
+                renamed = {cls.INPUT: tail}
+                for node in segment.cell:
+                    name = next(names)
+                    layer = node.layer
+                    if name != layer.name:
+                        layer = dataclasses.replace(layer, name=name)
+                    graph.add(layer, [renamed[source] for source in node.input_names])
+                    renamed[node.name] = name
+        return graph
+
     def _resolve_spec(self, name: str, consumer: str) -> InputSpec:
         if name == self.INPUT:
             return self.input_spec
@@ -219,3 +248,91 @@ class Graph:
                 f"-> {spec.channels}x{spec.height}x{spec.width}"
             )
         return "\n".join(lines)
+
+
+@dataclasses.dataclass(frozen=True)
+class PlanSegment:
+    """A cell of layers that appears once or repeats over time steps.
+
+    ``cell`` is a small graph whose nodes carry the input shapes every
+    repetition sees.  With ``steps`` set, the cell repeats once per step
+    and step ``t``'s copy of node ``x`` is named ``x_t{t}``; without, the
+    cell's nodes appear once under their own names.
+    """
+
+    cell: Graph
+    steps: Optional[range] = None
+
+    @property
+    def repeats(self) -> int:
+        return 1 if self.steps is None else len(self.steps)
+
+    def node_names(self) -> List[str]:
+        """Names of the segment's nodes, in node order."""
+        names = [node.name for node in self.cell]
+        if self.steps is None:
+            return names
+        return [f"{name}_t{step}" for step in self.steps for name in names]
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelPlan:
+    """A network as a sequence of cells, in node order."""
+
+    name: str
+    segments: Tuple[PlanSegment, ...]
+
+    def __len__(self) -> int:
+        return sum(len(segment.cell) * segment.repeats for segment in self.segments)
+
+    @classmethod
+    def of_graph(cls, graph: Graph) -> "ModelPlan":
+        """A graph as a plan of one cell that appears once."""
+        return cls(graph.name, (PlanSegment(graph),))
+
+
+class PlanBuilder:
+    """Builds the plan of a linear chain of cells, block by block."""
+
+    def __init__(self, name: str, input_spec: InputSpec) -> None:
+        self.name = name
+        self.output_spec = input_spec
+        self._segments: List[PlanSegment] = []
+
+    def once(self, *layers: Layer) -> None:
+        """Append ``layers`` once, under their own names."""
+        self._add(layers, None)
+
+    def unroll(self, steps: int, *layers: Layer) -> None:
+        """Append ``layers`` once per time step ``0 .. steps - 1``.
+
+        A step whose cell output shape differs from its input shape (the
+        first step after the graph input or another cell) gets a segment
+        of its own; from the first step whose output shape feeds back its
+        input shape, every remaining step shares one segment.
+        """
+        if steps <= 0:
+            raise ValueError("steps must be positive")
+        start = 0
+        while start < steps:
+            steady = self._add(layers, range(start, steps))
+            if steady:
+                return
+            start += 1
+
+    def build(self) -> ModelPlan:
+        if not self._segments:
+            raise ValueError(f"{self.name}: a plan needs at least one layer")
+        return ModelPlan(self.name, tuple(self._segments))
+
+    def _add(self, layers: Sequence[Layer], steps: Optional[range]) -> bool:
+        """Append one segment; True when it covers all of ``steps``."""
+        cell = Graph(self.name, self.output_spec)
+        for layer in layers:
+            cell.add(layer)
+        steady = cell.output_spec == cell.input_spec
+        if steps is not None and not steady:
+            steps = steps[:1]
+        self._segments.append(PlanSegment(cell, steps))
+        self.output_spec = cell.output_spec
+        return steady

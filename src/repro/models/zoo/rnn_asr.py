@@ -10,7 +10,7 @@ input->output length relationship of the paper's Fig 9d.
 
 from __future__ import annotations
 
-from repro.models.graph import Graph
+from repro.models.graph import Graph, ModelPlan, PlanBuilder
 from repro.models.layers import FullyConnected, InputSpec, LSTMCell, Softmax
 
 #: 40-dim filterbank features, stacked into 256-dim frames at the front end.
@@ -21,42 +21,27 @@ DECODER_LAYERS = 2
 CHAR_VOCAB = 64
 
 
-def build_rnn_asr(input_len: int = 100, output_len: int = 30) -> Graph:
-    """Build LAS unrolled for ``input_len`` frames and ``output_len`` chars."""
+def rnn_asr_plan(input_len: int = 100, output_len: int = 30) -> ModelPlan:
+    """Plan of LAS unrolled for ``input_len`` frames and ``output_len`` chars."""
     if input_len <= 0 or output_len <= 0:
         raise ValueError("sequence lengths must be positive")
-    graph = Graph("RNN-ASR", InputSpec(channels=FRAME_DIM))
+    plan = PlanBuilder("RNN-ASR", InputSpec(channels=FRAME_DIM))
     # Pyramidal encoder: layer l runs over ceil(input_len / 2**l) steps.
-    prev_layer_tail = Graph.INPUT
     steps = input_len
     for layer in range(ENCODER_LAYERS):
-        current = prev_layer_tail
-        for step in range(steps):
-            cell = graph.add(
-                LSTMCell(f"enc{layer}_t{step}", hidden=HIDDEN),
-                inputs=[current],
-            )
-            current = cell.name
-        prev_layer_tail = current
+        plan.unroll(steps, LSTMCell(f"enc{layer}", hidden=HIDDEN))
         steps = max(1, (steps + 1) // 2)
     # Attention context projection once per decoder step is folded into the
     # decoder cell input; the speller emits one character per step.
-    prev = prev_layer_tail
-    for step in range(output_len):
-        current = prev
-        for layer in range(DECODER_LAYERS):
-            cell = graph.add(
-                LSTMCell(f"dec{layer}_t{step}", hidden=HIDDEN),
-                inputs=[current],
-            )
-            current = cell.name
-        proj = graph.add(
-            FullyConnected(
-                f"dec_proj_t{step}", out_features=CHAR_VOCAB, fused_activation=None
-            ),
-            inputs=[current],
-        )
-        soft = graph.add(Softmax(f"dec_softmax_t{step}"), inputs=[proj.name])
-        prev = soft.name
-    graph.validate()
-    return graph
+    plan.unroll(
+        output_len,
+        *(LSTMCell(f"dec{layer}", hidden=HIDDEN) for layer in range(DECODER_LAYERS)),
+        FullyConnected("dec_proj", out_features=CHAR_VOCAB, fused_activation=None),
+        Softmax("dec_softmax"),
+    )
+    return plan.build()
+
+
+def build_rnn_asr(input_len: int = 100, output_len: int = 30) -> Graph:
+    """Build LAS unrolled for ``input_len`` frames and ``output_len`` chars."""
+    return Graph.from_plan(rnn_asr_plan(input_len, output_len))

@@ -13,7 +13,7 @@ input-data-dependent quantity PREMA's regression model predicts.
 
 from __future__ import annotations
 
-from repro.models.graph import Graph
+from repro.models.graph import Graph, ModelPlan, PlanBuilder
 from repro.models.layers import Embedding, FullyConnected, InputSpec, LSTMCell, Softmax
 
 EMBED_DIM = 512
@@ -23,48 +23,34 @@ NUM_LAYERS = 2
 VOCAB = {1: 32000, 2: 24000}
 
 
-def build_rnn_mt(input_len: int = 20, output_len: int = 20, variant: int = 1) -> Graph:
-    """Build the seq2seq model unrolled for one (input, output) pair."""
+def rnn_mt_plan(
+    input_len: int = 20, output_len: int = 20, variant: int = 1
+) -> ModelPlan:
+    """Plan of the seq2seq model unrolled for one (input, output) pair."""
     if input_len <= 0 or output_len <= 0:
         raise ValueError("sequence lengths must be positive")
     if variant not in VOCAB:
         raise ValueError(f"variant must be one of {sorted(VOCAB)}")
     vocab = VOCAB[variant]
-    graph = Graph(f"RNN-MT{variant}", InputSpec(channels=EMBED_DIM))
-    prev = Graph.INPUT
+    plan = PlanBuilder(f"RNN-MT{variant}", InputSpec(channels=EMBED_DIM))
     # Encoder: unrolled over the source sentence.
-    for step in range(input_len):
-        emb = graph.add(
-            Embedding(f"enc_embed_t{step}", vocab=vocab, dim=EMBED_DIM),
-            inputs=[prev],
-        )
-        current = emb.name
-        for layer in range(NUM_LAYERS):
-            cell = graph.add(
-                LSTMCell(f"enc_lstm{layer}_t{step}", hidden=HIDDEN),
-                inputs=[current],
-            )
-            current = cell.name
-        prev = current
+    plan.unroll(
+        input_len,
+        Embedding("enc_embed", vocab=vocab, dim=EMBED_DIM),
+        *(LSTMCell(f"enc_lstm{layer}", hidden=HIDDEN) for layer in range(NUM_LAYERS)),
+    )
     # Decoder: unrolled over the generated sentence, one vocab projection
     # (the expensive part) per emitted token.
-    for step in range(output_len):
-        emb = graph.add(
-            Embedding(f"dec_embed_t{step}", vocab=vocab, dim=EMBED_DIM),
-            inputs=[prev],
-        )
-        current = emb.name
-        for layer in range(NUM_LAYERS):
-            cell = graph.add(
-                LSTMCell(f"dec_lstm{layer}_t{step}", hidden=HIDDEN),
-                inputs=[current],
-            )
-            current = cell.name
-        proj = graph.add(
-            FullyConnected(f"dec_proj_t{step}", out_features=vocab, fused_activation=None),
-            inputs=[current],
-        )
-        soft = graph.add(Softmax(f"dec_softmax_t{step}"), inputs=[proj.name])
-        prev = soft.name
-    graph.validate()
-    return graph
+    plan.unroll(
+        output_len,
+        Embedding("dec_embed", vocab=vocab, dim=EMBED_DIM),
+        *(LSTMCell(f"dec_lstm{layer}", hidden=HIDDEN) for layer in range(NUM_LAYERS)),
+        FullyConnected("dec_proj", out_features=vocab, fused_activation=None),
+        Softmax("dec_softmax"),
+    )
+    return plan.build()
+
+
+def build_rnn_mt(input_len: int = 20, output_len: int = 20, variant: int = 1) -> Graph:
+    """Build the seq2seq model unrolled for one (input, output) pair."""
+    return Graph.from_plan(rnn_mt_plan(input_len, output_len, variant))

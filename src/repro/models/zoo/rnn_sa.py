@@ -9,7 +9,7 @@ predictable once the input length is known.
 
 from __future__ import annotations
 
-from repro.models.graph import Graph
+from repro.models.graph import Graph, ModelPlan, PlanBuilder
 from repro.models.layers import Embedding, FullyConnected, InputSpec, LSTMCell, Softmax
 
 #: Model dimensions (MLPerf-cloud-style sentiment model).
@@ -20,26 +20,23 @@ NUM_LAYERS = 2
 NUM_CLASSES = 2
 
 
-def build_rnn_sa(input_len: int = 20) -> Graph:
-    """Build the sentiment model unrolled over ``input_len`` tokens."""
+def rnn_sa_plan(input_len: int = 20) -> ModelPlan:
+    """Plan of the sentiment model unrolled over ``input_len`` tokens."""
     if input_len <= 0:
         raise ValueError("input_len must be positive")
-    graph = Graph("RNN-SA", InputSpec(channels=EMBED_DIM))
-    prev = Graph.INPUT
-    for step in range(input_len):
-        emb = graph.add(
-            Embedding(f"embed_t{step}", vocab=VOCAB, dim=EMBED_DIM),
-            inputs=[prev] if step == 0 else [prev],
-        )
-        current = emb.name
-        for layer in range(NUM_LAYERS):
-            cell = graph.add(
-                LSTMCell(f"lstm{layer}_t{step}", hidden=HIDDEN),
-                inputs=[current],
-            )
-            current = cell.name
-        prev = current
-    graph.add(FullyConnected("classifier", out_features=NUM_CLASSES, fused_activation=None))
-    graph.add(Softmax("prob"))
-    graph.validate()
-    return graph
+    plan = PlanBuilder("RNN-SA", InputSpec(channels=EMBED_DIM))
+    plan.unroll(
+        input_len,
+        Embedding("embed", vocab=VOCAB, dim=EMBED_DIM),
+        *(LSTMCell(f"lstm{layer}", hidden=HIDDEN) for layer in range(NUM_LAYERS)),
+    )
+    plan.once(
+        FullyConnected("classifier", out_features=NUM_CLASSES, fused_activation=None),
+        Softmax("prob"),
+    )
+    return plan.build()
+
+
+def build_rnn_sa(input_len: int = 20) -> Graph:
+    """Build the sentiment model unrolled over ``input_len`` tokens."""
+    return Graph.from_plan(rnn_sa_plan(input_len))

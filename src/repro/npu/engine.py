@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.compiler import CompiledLayer, CompiledModel
 from repro.models.layers import LayerKind
@@ -49,6 +49,19 @@ class LayerTiming:
     checkpoint: Optional[CheckpointProfile]
     #: MACs executed (Fig 10's x-axis).
     macs: int
+
+    def renamed(self, name: str) -> "LayerTiming":
+        """The same timing under another node's name (layers that lower
+        identically time identically)."""
+        return LayerTiming(
+            name,
+            self.kind,
+            self.cycles,
+            self.total_tiles,
+            self.tile_cycles,
+            self.checkpoint,
+            self.macs,
+        )
 
     def tiles_done_at(self, offset_cycles: float) -> int:
         """Committed tiles after ``offset_cycles`` into the layer."""
@@ -247,23 +260,35 @@ def time_vector_layer(layer: CompiledLayer, config: NPUConfig) -> LayerTiming:
     )
 
 
-def profile_model(model: CompiledModel, config: NPUConfig) -> ExecutionProfile:
-    """Time every layer of a compiled model on an idle NPU."""
-    timings: List[LayerTiming] = []
-    for layer in model.layers:
-        if layer.is_gemm_layer:
-            timings.append(time_gemm_layer(layer, config))
-        else:
-            timings.append(time_vector_layer(layer, config))
+def time_layer(layer: CompiledLayer, config: NPUConfig) -> LayerTiming:
+    """Ground-truth timing of one compiled layer."""
+    if layer.is_gemm_layer:
+        return time_gemm_layer(layer, config)
+    return time_vector_layer(layer, config)
+
+
+def assemble_profile(
+    name: str, batch: int, timings: Sequence[LayerTiming]
+) -> ExecutionProfile:
+    """Lay timed layers end to end: layer i starts where layer i-1 ends."""
     starts: List[float] = []
     clock = 0.0
     for timing in timings:
         starts.append(clock)
         clock += timing.cycles
     return ExecutionProfile(
-        name=model.name,
-        batch=model.batch,
+        name=name,
+        batch=batch,
         layers=tuple(timings),
         layer_starts=tuple(starts),
         total_cycles=clock,
+    )
+
+
+def profile_model(model: CompiledModel, config: NPUConfig) -> ExecutionProfile:
+    """Time every layer of a compiled model on an idle NPU."""
+    return assemble_profile(
+        model.name,
+        model.batch,
+        [time_layer(layer, config) for layer in model.layers],
     )

@@ -4,6 +4,9 @@
 measured change: the commit it was measured against, the host, and for
 each ``perfbench`` workload the parent and change medians of
 ``tasks_per_s`` and ``cpu_s`` over alternating parent/change run pairs.
+Rows written by ``benchmarks/history/record_trajectory.py`` also carry
+``setup_s`` and ``peak_rss_mb`` medians, each side's quartiles and, per
+metric, the number of pairs the change won.
 """
 
 import json
@@ -44,9 +47,20 @@ def test_row_has_commit_host_and_medians(index):
     for name, measured in row["workloads"].items():
         assert name in WORKLOADS
         assert isinstance(measured["pairs"], int) and measured["pairs"] > 0
-        for metric in ("tasks_per_s", "cpu_s"):
+        required = ("tasks_per_s", "cpu_s")
+        optional = tuple(m for m in ("setup_s", "peak_rss_mb") if m in measured)
+        for metric in required + optional:
             for side in ("parent", "change"):
                 value = measured[metric][side]
                 assert isinstance(value, (int, float)) and value > 0, (
                     name, metric, side,
                 )
+                spread = measured[metric].get(f"{side}_quartiles")
+                if spread is not None:
+                    first, third = spread
+                    assert 0 < first <= third, (name, metric, side)
+        for metric, wins in measured.get("better_pairs", {}).items():
+            assert metric in measured, (name, metric)
+            assert isinstance(wins, int) and 0 <= wins <= measured["pairs"], (
+                name, metric,
+            )

@@ -34,6 +34,16 @@ class TestLatencyPredictor:
         model = compile_model(build_benchmark("CNN-AN"), config, batch=1)
         assert predictor.predict_model(model) == predictor.predict_model(model)
 
+    def test_equal_layer_counts_do_not_share_an_estimate(self, config):
+        # Both unrolls compile to 45 layers; a cache keyed on (name, batch,
+        # layer count) once answered the second with the first's estimate.
+        predictor = LatencyPredictor(config)
+        first = build_benchmark("RNN-MT1", input_len=10, output_len=3)
+        second = build_benchmark("RNN-MT1", input_len=5, output_len=6)
+        assert len(first) == len(second) == 45
+        assert predictor.predict_model(compile_model(first, config)) == 6794480.0
+        assert predictor.predict_model(compile_model(second, config)) == 8414560.0
+
     def test_breakdown_sums_to_total(self, config):
         predictor = LatencyPredictor(config)
         model = compile_model(build_benchmark("CNN-AN"), config, batch=1)
